@@ -4,34 +4,21 @@ Exact trip-zone algebra, weighted sampling, logistic-smoothed two-block
 regression, and MAE / load-fraction uncertainty analysis.
 """
 
-import os as _os
-
-# Optional thread cap for the numeric backends; must be set before numpy
-# loads to take effect.  All results are independent of the thread count.
-if "TRIPFIT_THREADS" in _os.environ:
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["TRIPFIT_THREADS"])
-
 from .protection import (
     TAU_MAX,
     V_MAX,
     CompositeProtection,
-    FaultPoint,
     ProtectionScheme,
     TripZone,
     combine_schemes,
-    composite_F,
     grid_evaluate,
-    protection_f,
     series_combine,
-    zone_contains,
 )
 from .library import ProtectionLibrary, default_library, load_library, parse_library
 from .sampling import (
     Dataset,
     SamplerConfig,
     SamplingError,
-    latin_hypercube,
     lhs_box,
     sample_training,
     weight,

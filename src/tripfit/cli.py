@@ -29,7 +29,7 @@ from .evaluation import (
 )
 from .protection import TAU_MAX, V_MAX, grid_evaluate
 from .regression import fit, harden, model_from_jsonable
-from .sampling import sample_training
+from .sampling import _write_csv, sample_training
 
 DEFAULT_GRID_RESOLUTION = 101
 
@@ -117,13 +117,12 @@ def cmd_grid(cfg: ProjectConfig, target: str, grid_target: str, resolution: int)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     path = cfg.output_dir / f"grid_{target}_{grid_target}.csv"
-    with open(path, "w", newline="") as fh:
-        for line in _comment_lines(cfg, target=target, grid_target=grid_target,
-                                   rows="tau_f_s", columns="v_f_pct"):
-            fh.write(f"# {line}\n")
-        fh.write("tau_s," + ",".join(repr(float(v)) for v in v_grid) + "\n")
-        for i, tau in enumerate(tau_grid):
-            fh.write(repr(float(tau)) + "," + ",".join(repr(float(x)) for x in matrix[i]) + "\n")
+    comments = _comment_lines(cfg, target=target, grid_target=grid_target,
+                              rows="tau_f_s", columns="v_f_pct")
+    _write_csv(path, comments, ["tau_s"] + [repr(float(v)) for v in v_grid], (
+        [repr(float(tau))] + [repr(float(x)) for x in matrix[i]]
+        for i, tau in enumerate(tau_grid)
+    ))
     print(f"grid {target}/{grid_target}: {resolution}x{resolution} -> {path}")
     return 0
 
@@ -158,7 +157,7 @@ def cmd_sweep(cfg: ProjectConfig, target: str) -> int:
     sweep_summary_csv(report, cfg.output_dir / f"sweep_{target}_summary.csv", comments)
     for stats in report.levels:
         print(f"sweep {target} level {stats.level:g}: mean={stats.mean:.4f} "
-              f"[{stats.p12_5:.4f}, {stats.p87_5:.4f}] skipped={stats.skipped}")
+              f"[{stats.p12_5:.4f}, {stats.p87_5:.4f}]")
 
     if cfg.matrix_targets is not None:
         names = set(comp.names)

@@ -10,7 +10,6 @@ as the perturbation level grows.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
@@ -20,7 +19,7 @@ import numpy as np
 from .protection import CompositeProtection
 from .regression import FitConfig, SimplifiedModel, SmoothingConfig, fit, harden
 from .rng import rng_stream
-from .sampling import SamplerConfig, lhs_box, sample_training
+from .sampling import SamplerConfig, _write_csv, lhs_box, sample_training
 
 
 @dataclass(frozen=True)
@@ -30,15 +29,6 @@ class MaeReport:
     epsilon: float
     m_points: int
     seed: int
-    errors: np.ndarray | None = None  # per-point |difference|, kept on request
-
-    def __post_init__(self):
-        if self.errors is not None:
-            err = np.asarray(self.errors, dtype=float)
-            err.setflags(write=False)
-            object.__setattr__(self, "errors", err)
-            if abs(float(err.mean()) - self.epsilon) > 1e-12:
-                raise ValueError("epsilon must equal the mean of the retained errors")
 
 
 @dataclass(frozen=True)
@@ -77,7 +67,6 @@ class LevelStats:
     p12_5: float
     p87_5: float
     maes: np.ndarray
-    skipped: int
 
 
 @dataclass(frozen=True)
@@ -103,32 +92,35 @@ class MatrixReport:
     trials: int
 
 
-def mae(
-    approx: CompositeProtection,
-    truth: CompositeProtection,
-    m: int,
-    seed: int,
-    keep_errors: bool = False,
-) -> MaeReport:
+def mae(approx: CompositeProtection, truth: CompositeProtection, m: int, seed: int) -> MaeReport:
     """MAE between two composites over m Latin hypercube fault points."""
     if m < 1:
         raise ValueError("m must be >= 1")
     tau, v = lhs_box(rng_stream(seed, "eval"), m)
     errors = np.abs(approx.evaluate(tau, v) - truth.evaluate(tau, v))
-    return MaeReport(float(errors.mean()), m, seed, errors if keep_errors else None)
+    return MaeReport(float(errors.mean()), m, seed)
 
 
-def perturb_fractions(
-    c: CompositeProtection,
-    gammas: Mapping[str, float],
-    renormalize: bool = True,
-) -> CompositeProtection:
-    """Scale targeted fractions by (1 + gamma); unnamed schemes keep gamma = 0.
+def _perturbed(nominal: np.ndarray, gammas: np.ndarray) -> np.ndarray:
+    """Fraction rows scaled by (1 + gamma), one column per scheme, renormalized.
 
-    With renormalize the perturbed vector is rescaled to sum to 1.  Without
-    it, the raw vector is kept but must stay in the [0.5, 1.5] sanity band.
-    A gamma of exactly -1 (fraction becomes 0) is allowed; below -1 is not.
-    An all-zero gamma map returns the composite unchanged.
+    Totals are summed in entry order, and rows whose gammas are all 0 keep the
+    nominal fractions unrenormalized, as `perturb_fractions` does.
+    """
+    scaled = nominal * (1.0 + gammas)
+    total = scaled[:, 0]
+    for k in range(1, scaled.shape[1]):
+        total = total + scaled[:, k]
+    rows = scaled / total[:, None]
+    return np.where((gammas == 0.0).all(axis=1, keepdims=True), nominal, rows)
+
+
+def perturb_fractions(c: CompositeProtection, gammas: Mapping[str, float]) -> CompositeProtection:
+    """Scale targeted fractions by (1 + gamma), then renormalize them to sum to 1.
+
+    Unnamed schemes keep gamma = 0.  A gamma of exactly -1 (fraction becomes
+    0) is allowed; below -1 is not.  An all-zero gamma map returns the
+    composite unchanged.
     """
     unknown = set(gammas) - set(c.names)
     if unknown:
@@ -142,34 +134,82 @@ def perturb_fractions(
             raise ValueError(f"gamma {g} for {scheme.name!r} would push its fraction below 0")
         scaled.append((scheme, pi * (1.0 + g)))
     total = sum(pi for _, pi in scaled)
-    if renormalize:
-        if total <= 0.0:
-            raise ValueError("perturbed fractions sum to 0; cannot renormalize")
-        return CompositeProtection(tuple((s, pi / total) for s, pi in scaled))
-    if not (0.5 <= total <= 1.5):
-        raise ValueError(
-            f"perturbed fractions sum to {total:.6g}, outside the [0.5, 1.5] sanity band"
-        )
-    return CompositeProtection(tuple(scaled), require_unit_sum=False)
+    if total <= 0.0:
+        raise ValueError("perturbed fractions sum to 0; cannot renormalize")
+    return CompositeProtection(tuple((s, pi / total) for s, pi in scaled))
 
 
-def _trial_mae(
+def _maes(approx: np.ndarray, fractions: np.ndarray, conn: np.ndarray) -> np.ndarray:
+    """Per-row MAE of `approx` against the composites with these fraction rows.
+
+    The truth rows are fractions @ conn, for the (schemes, points) 0/1
+    connectivity matrix `conn`, summed over schemes in entry order from zeros
+    as CompositeProtection.evaluate sums them; with each mean taken along the
+    contiguous points axis, a row's MAE is bit-equal to the composite's.
+    """
+    truth = np.zeros((fractions.shape[0], conn.shape[1]))
+    for k in range(conn.shape[0]):
+        truth += fractions[:, k, None] * conn[k]
+    return np.abs(approx - truth).mean(axis=1)
+
+
+# Trials scored at once; bounds the (trials x m_eval) working arrays.
+_BLOCK_TRIALS = 32
+
+
+def _monte_carlo(
     c_nominal: CompositeProtection,
-    approx_vals: np.ndarray,
-    tau: np.ndarray,
-    v: np.ndarray,
-    gammas: Mapping[str, float],
-    refit_ctx: tuple[SamplerConfig, SmoothingConfig, FitConfig] | None,
-    trial_rng: np.random.Generator,
-) -> float:
-    actual = perturb_fractions(c_nominal, gammas, renormalize=True)
-    if refit_ctx is not None:
-        sampler, smoothing, fit_cfg = refit_ctx
-        trial_seed = int(trial_rng.integers(0, 2**63 - 1))
-        data = sample_training(actual, replace(sampler, seed=trial_seed))
-        refit_model = fit(data, smoothing, replace(fit_cfg, seed=trial_seed)).model
-        approx_vals = harden(refit_model).evaluate(tau, v)
-    return float(np.abs(approx_vals - actual.evaluate(tau, v)).mean())
+    fitted: SimplifiedModel,
+    spec: UncertaintySpec,
+    stream: str,
+    groups: tuple[tuple[str, ...], ...],
+    refit_ctx: tuple[SamplerConfig, SmoothingConfig, FitConfig] | None = None,
+) -> tuple[float, np.ndarray]:
+    """Nominal MAE and per-trial MAEs of every level cell of a Monte Carlo study.
+
+    Each group of target schemes gets one perturbation level; a cell picks
+    one level index per group, so the result has shape
+    (levels,) * len(groups) + (trials,).  Trial t of cell (i, ...) draws one
+    gamma per target, uniform in [-level, +level] and in target order, from
+    rng_stream(seed, stream, i, ..., t); a refit trial then draws its fit
+    seed from the same stream.  Evaluation points are fixed for the whole
+    study, and every composite is linear in its fractions, so each scheme's
+    connectivity is evaluated once and trials are scored in blocks.
+    """
+    tau, v = lhs_box(rng_stream(spec.seed, "sweep_eval"), spec.m_eval)
+    schemes = [scheme for scheme, _ in c_nominal.entries]
+    conn = np.array([scheme.f(tau, v) for scheme in schemes], dtype=float)
+    nominal = c_nominal.fractions
+    approx = harden(fitted).evaluate(tau, v)
+    columns = [[c_nominal.names.index(name) for name in group] for group in groups]
+    levels = spec.gamma_levels
+
+    maes = np.empty((len(levels),) * len(groups) + (spec.trials,))
+    for cell in np.ndindex(maes.shape[:-1]):
+        for start in range(0, spec.trials, _BLOCK_TRIALS):
+            trials = range(start, min(start + _BLOCK_TRIALS, spec.trials))
+            gammas = np.zeros((len(trials), len(schemes)))
+            rngs = []
+            for row, t in enumerate(trials):
+                rng = rng_stream(spec.seed, stream, *cell, t)
+                for cols, li in zip(columns, cell):
+                    for k in cols:
+                        gammas[row, k] = rng.uniform(-levels[li], levels[li])
+                rngs.append(rng)
+            fractions = _perturbed(nominal, gammas)
+            block_approx = approx
+            if refit_ctx is not None:
+                sampler, smoothing, fit_cfg = refit_ctx
+                block_approx = np.empty((len(trials), spec.m_eval))
+                for row, rng in enumerate(rngs):
+                    trial_seed = int(rng.integers(0, 2**63 - 1))
+                    actual = CompositeProtection(tuple(zip(schemes, fractions[row])))
+                    data = sample_training(actual, replace(sampler, seed=trial_seed))
+                    model = fit(data, smoothing, replace(fit_cfg, seed=trial_seed)).model
+                    block_approx[row] = harden(model).evaluate(tau, v)
+            maes[cell][start:trials.stop] = _maes(block_approx, fractions, conn)
+    nominal_mae = float(_maes(approx, nominal[None, :], conn)[0])
+    return nominal_mae, maes
 
 
 def uncertainty_sweep(
@@ -198,29 +238,12 @@ def uncertainty_sweep(
             raise ValueError("refit sweeps need sampler, smoothing and fit configs")
         refit_ctx = (sampler, smoothing, fit_config)
 
-    tau, v = lhs_box(rng_stream(spec.seed, "sweep_eval"), spec.m_eval)
-    approx_vals = harden(fitted).evaluate(tau, v)
-    nominal_mae = float(np.abs(approx_vals - c_nominal.evaluate(tau, v)).mean())
-
+    nominal_mae, maes = _monte_carlo(c_nominal, fitted, spec, "sweep", (tuple(targets),),
+                                     refit_ctx)
     levels = []
-    for li, level in enumerate(spec.gamma_levels):
-        maes = []
-        skipped = 0
-        for t in range(spec.trials):
-            rng = rng_stream(spec.seed, "sweep", li, t)
-            gammas = {name: float(rng.uniform(-level, level)) for name in targets}
-            try:
-                maes.append(
-                    _trial_mae(c_nominal, approx_vals, tau, v, gammas, refit_ctx, rng)
-                )
-            except ValueError:
-                skipped += 1
-        arr = np.array(maes)
-        p12, p87 = (np.percentile(arr, [12.5, 87.5]) if arr.size else (np.nan, np.nan))
-        levels.append(
-            LevelStats(level, float(arr.mean()) if arr.size else np.nan,
-                       float(p12), float(p87), arr, skipped)
-        )
+    for level, arr in zip(spec.gamma_levels, maes):
+        p12, p87 = np.percentile(arr, [12.5, 87.5])
+        levels.append(LevelStats(level, float(arr.mean()), float(p12), float(p87), arr))
     return SweepReport(tuple(levels), nominal_mae, tuple(targets), spec.seed,
                        spec.m_eval, spec.trials)
 
@@ -242,58 +265,31 @@ def uncertainty_matrix(
     if missing:
         raise ValueError(f"matrix targets not in composite: {sorted(missing)}")
 
-    tau, v = lhs_box(rng_stream(spec.seed, "sweep_eval"), spec.m_eval)
-    approx_vals = harden(fitted).evaluate(tau, v)
-
-    n_levels = len(spec.gamma_levels)
-    mean_mae = np.zeros((n_levels, n_levels))
-    for i, level_a in enumerate(spec.gamma_levels):
-        for j, level_b in enumerate(spec.gamma_levels):
-            total = 0.0
-            for t in range(spec.trials):
-                rng = rng_stream(spec.seed, "matrix", i, j, t)
-                gammas = {
-                    target_a: float(rng.uniform(-level_a, level_a)),
-                    target_b: float(rng.uniform(-level_b, level_b)),
-                }
-                actual = perturb_fractions(c_nominal, gammas, renormalize=True)
-                total += float(np.abs(approx_vals - actual.evaluate(tau, v)).mean())
-            mean_mae[i, j] = total / spec.trials
-    return MatrixReport(target_a, target_b, spec.gamma_levels, mean_mae,
+    _, maes = _monte_carlo(c_nominal, fitted, spec, "matrix", ((target_a,), (target_b,)))
+    return MatrixReport(target_a, target_b, spec.gamma_levels, maes.mean(axis=-1),
                         spec.seed, spec.m_eval, spec.trials)
 
 
 def sweep_long_csv(report: SweepReport, path: str | Path, comments: list[str] | None = None) -> None:
     """One row per (level, trial): level,trial,mae."""
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["level", "trial", "mae"])
-        for stats in report.levels:
-            for t, value in enumerate(stats.maes):
-                writer.writerow([repr(stats.level), t, repr(float(value))])
+    _write_csv(path, comments, ["level", "trial", "mae"], (
+        [repr(stats.level), t, repr(float(value))]
+        for stats in report.levels for t, value in enumerate(stats.maes)
+    ))
 
 
 def sweep_summary_csv(report: SweepReport, path: str | Path, comments: list[str] | None = None) -> None:
     """One row per level: level,mean,p12.5,p87.5."""
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["level", "mean", "p12.5", "p87.5"])
-        for stats in report.levels:
-            writer.writerow([repr(stats.level), repr(stats.mean),
-                             repr(stats.p12_5), repr(stats.p87_5)])
+    _write_csv(path, comments, ["level", "mean", "p12.5", "p87.5"], (
+        [repr(stats.level), repr(stats.mean), repr(stats.p12_5), repr(stats.p87_5)]
+        for stats in report.levels
+    ))
 
 
 def matrix_csv(report: MatrixReport, path: str | Path, comments: list[str] | None = None) -> None:
     """Level-by-level grid of mean MAE; rows follow target_a, columns target_b."""
-    with open(path, "w", newline="") as fh:
-        for line in comments or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"{report.target_a}\\{report.target_b}"]
-                        + [repr(level) for level in report.levels])
-        for i, level in enumerate(report.levels):
-            writer.writerow([repr(level)] + [repr(float(x)) for x in report.mean_mae[i]])
+    header = [f"{report.target_a}\\{report.target_b}"] + [repr(level) for level in report.levels]
+    _write_csv(path, comments, header, (
+        [repr(level)] + [repr(float(x)) for x in report.mean_mae[i]]
+        for i, level in enumerate(report.levels)
+    ))

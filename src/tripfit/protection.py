@@ -26,20 +26,6 @@ FRACTION_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class FaultPoint:
-    """A fault event: duration tau_f in seconds, depth v_f in % of nominal."""
-
-    tau_f: float
-    v_f: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.tau_f) and self.tau_f >= 0.0):
-            raise ValueError(f"tau_f must be finite and >= 0, got {self.tau_f}")
-        if not (np.isfinite(self.v_f) and 0.0 <= self.v_f <= V_MAX):
-            raise ValueError(f"v_f must be in [0, {V_MAX}], got {self.v_f}")
-
-
-@dataclass(frozen=True)
 class TripZone:
     """Monotone staircase trip region.
 
@@ -74,10 +60,6 @@ class TripZone:
     def rectangle(cls, tau_star: float, v_star: float) -> "TripZone":
         """Single-block zone: trip iff tau >= tau_star and v <= v_star."""
         return cls(((tau_star, v_star),))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.steps
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -117,13 +99,10 @@ class ProtectionScheme:
 class CompositeProtection:
     """Fraction-weighted mix of protection schemes serving one motor population.
 
-    Fractions must sum to 1 (tolerance 1e-9) unless `require_unit_sum` is
-    disabled, which perturbation studies use to model mis-estimated load
-    fractions without renormalizing.
+    Fractions lie in [0, 1] and must sum to 1 (tolerance 1e-9).
     """
 
     entries: tuple[tuple[ProtectionScheme, float], ...]
-    require_unit_sum: bool = True
 
     def __post_init__(self):
         entries = tuple((scheme, float(pi)) for scheme, pi in self.entries)
@@ -134,9 +113,9 @@ class CompositeProtection:
         for scheme, pi in entries:
             if not np.isfinite(pi) or pi < 0.0:
                 raise ValueError(f"fraction for {scheme.name!r} must be >= 0, got {pi}")
-            if self.require_unit_sum and pi > 1.0:
+            if pi > 1.0:
                 raise ValueError(f"fraction for {scheme.name!r} must be <= 1, got {pi}")
-        if self.require_unit_sum and abs(self.fraction_sum - 1.0) > FRACTION_SUM_TOL:
+        if abs(self.fraction_sum - 1.0) > FRACTION_SUM_TOL:
             raise ValueError(
                 f"fractions must sum to 1 within {FRACTION_SUM_TOL} "
                 f"(got {self.fraction_sum!r}); renormalize explicitly if intended"
@@ -164,16 +143,6 @@ class CompositeProtection:
         return total if total.ndim else float(total)
 
 
-def zone_contains(zone: TripZone, p: FaultPoint) -> bool:
-    """True iff the fault point lies in the trip-zone (boundary included)."""
-    return bool(zone.contains(p.tau_f, p.v_f))
-
-
-def protection_f(scheme: ProtectionScheme, p: FaultPoint) -> int:
-    """0 if the scheme trips at p (motor disconnected), 1 otherwise."""
-    return int(scheme.f(p.tau_f, p.v_f))
-
-
 def series_combine(zones: Iterable[TripZone]) -> TripZone:
     """Union of trip-zones: the staircase whose envelope is the pointwise max.
 
@@ -199,11 +168,6 @@ def combine_schemes(schemes: Sequence[ProtectionScheme]) -> ProtectionScheme:
     parts = sorted({part for scheme in schemes for part in scheme.name.split("-")})
     zone = series_combine([scheme.zone for scheme in schemes])
     return ProtectionScheme("-".join(parts), zone)
-
-
-def composite_F(c: CompositeProtection, p: FaultPoint) -> float:
-    """Connected load fraction at the fault point; 1 = all on, 0 = all tripped."""
-    return float(c.evaluate(p.tau_f, p.v_f))
 
 
 def grid_evaluate(c: CompositeProtection, tau_grid, v_grid) -> np.ndarray:

@@ -3,8 +3,8 @@
 Every stochastic routine in the package draws from its own stream so that
 training data, evaluation points, multistart initializations and Monte Carlo
 trials never share draws.  A stream is re-derivable from (seed, name, *path)
-alone, which is what makes parallel trial execution equal to the sequential
-reference.
+alone, so a Monte Carlo trial's draws do not depend on the order trials run
+in.
 """
 
 from __future__ import annotations

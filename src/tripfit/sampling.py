@@ -61,6 +61,16 @@ class SamplerConfig:
                 raise ValueError(f"range ({lo}, {hi}) must be increasing")
 
 
+def _write_csv(path: str | Path, comments: list[str] | None, header: list, rows) -> None:
+    """Write each comment as a `# line`, then the header and rows as CSV."""
+    with open(path, "w", newline="") as fh:
+        for line in comments or []:
+            fh.write(f"# {line}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labeled sample of the composite protection function."""
@@ -82,13 +92,10 @@ class Dataset:
 
     def to_csv(self, path: str | Path, comments: list[str] | None = None) -> None:
         """Write `tau_f_s,v_f_pct,y` rows at full (round-trip) precision."""
-        with open(path, "w", newline="") as fh:
-            for line in comments or []:
-                fh.write(f"# {line}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["tau_f_s", "v_f_pct", "y"])
-            for t, v, y in zip(self.tau_f, self.v_f, self.y):
-                writer.writerow([repr(float(t)), repr(float(v)), repr(float(y))])
+        _write_csv(path, comments, ["tau_f_s", "v_f_pct", "y"], (
+            [repr(float(t)), repr(float(v)), repr(float(y))]
+            for t, v, y in zip(self.tau_f, self.v_f, self.y)
+        ))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "Dataset":
@@ -172,10 +179,3 @@ def lhs_box(
     tau = tau_range[0] + (tau_range[1] - tau_range[0]) * u[:, 0]
     v = v_range[0] + (v_range[1] - v_range[0]) * u[:, 1]
     return tau, v
-
-
-def latin_hypercube(m: int, cfg: SamplerConfig, rng: np.random.Generator | None = None):
-    """m space-filling points over cfg's box, on the evaluation stream by default."""
-    if rng is None:
-        rng = rng_stream(cfg.seed, "eval")
-    return lhs_box(rng, m, cfg.tau_range, cfg.v_range)

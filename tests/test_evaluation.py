@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from helpers import random_composite
+from helpers import random_composite, random_zone
 from tripfit import (
     CompositeProtection,
     FitConfig,
@@ -20,6 +22,8 @@ from tripfit import (
     uncertainty_sweep,
 )
 from tripfit.evaluation import matrix_csv, sweep_long_csv, sweep_summary_csv
+from tripfit.rng import rng_stream
+from tripfit.sampling import lhs_box
 
 TWO_BLOCK_TRUTH = SimplifiedModel(0.4, 0.2, 70.0, 0.6, 1.5, 55.0)
 
@@ -66,13 +70,6 @@ def test_mae_well_fitted_example(fitted_pair):
     assert mae(harden(model), comp, 5000, seed=9).epsilon <= 0.05
 
 
-def test_mae_keeps_errors_when_asked():
-    comp = random_composite(np.random.default_rng(3))
-    report = mae(comp, comp, 200, seed=1, keep_errors=True)
-    assert report.errors.shape == (200,)
-    assert report.epsilon == report.errors.mean()
-
-
 # ------------------------------------------------------ perturb_fractions
 
 def _two_scheme(pi_a=0.5, pi_b=0.5):
@@ -90,14 +87,14 @@ def test_perturb_zero_gamma_is_identity():
 
 def test_perturb_hand_arithmetic():
     comp = _two_scheme()
-    out = perturb_fractions(comp, {"a": 0.2}, renormalize=True)
+    out = perturb_fractions(comp, {"a": 0.2})
     assert out.fractions[0] == pytest.approx(0.6 / 1.1, abs=1e-12)
     assert out.fractions[1] == pytest.approx(0.5 / 1.1, abs=1e-12)
 
 
 def test_perturb_gamma_boundary():
     comp = _two_scheme()
-    out = perturb_fractions(comp, {"a": -1.0}, renormalize=True)
+    out = perturb_fractions(comp, {"a": -1.0})
     assert out.fractions[0] == 0.0 and out.fractions[1] == 1.0
     with pytest.raises(ValueError, match="below 0"):
         perturb_fractions(comp, {"a": -1.0001})
@@ -108,21 +105,12 @@ def test_perturb_unknown_target():
         perturb_fractions(_two_scheme(), {"zz": 0.1})
 
 
-def test_perturb_without_renormalize():
-    comp = _two_scheme()
-    out = perturb_fractions(comp, {"a": 0.4}, renormalize=False)
-    assert out.fraction_sum == pytest.approx(1.2, abs=1e-12)
-    assert not out.require_unit_sum
-    with pytest.raises(ValueError, match="sanity band"):
-        perturb_fractions(comp, {"a": 1.2, "b": 1.2}, renormalize=False)
-
-
 def test_perturb_renormalized_sums_to_one():
     rng = np.random.default_rng(6)
     for _ in range(50):
         comp = random_composite(rng)
         gammas = {name: float(rng.uniform(-0.8, 0.8)) for name in comp.names}
-        out = perturb_fractions(comp, gammas, renormalize=True)
+        out = perturb_fractions(comp, gammas)
         assert abs(out.fraction_sum - 1.0) <= 1e-9
 
 
@@ -135,7 +123,6 @@ def test_sweep_level_zero_is_nominal(fitted_pair):
     level0 = report.levels[0]
     assert np.all(level0.maes == report.nominal_mae)
     assert float(np.ptp(level0.maes)) == 0.0  # identical samples: variance exactly 0
-    assert level0.skipped == 0
     assert level0.maes.size == spec.trials
 
 
@@ -181,14 +168,80 @@ def test_sweep_refit_smoke(fitted_pair):
     spec = UncertaintySpec(gamma_levels=(0.4,), trials=30, seed=2, m_eval=300, refit=True)
     with pytest.raises(ValueError, match="refit"):
         uncertainty_sweep(comp, model, spec)
-    report = uncertainty_sweep(
-        comp, model, spec,
-        sampler=SamplerConfig(weight_threshold=0.0, n_train=40, m_eval=400),
-        smoothing=SmoothingConfig(continuation_schedule=((25.0, 1.0),)),
-        fit_config=FitConfig(n_starts=2, max_iters=60),
-    )
+    sampler = SamplerConfig(weight_threshold=0.0, n_train=40, m_eval=400)
+    smoothing = SmoothingConfig(continuation_schedule=((25.0, 1.0),))
+    fit_config = FitConfig(n_starts=2, max_iters=60)
+    report = uncertainty_sweep(comp, model, spec, sampler=sampler, smoothing=smoothing,
+                               fit_config=fit_config)
     assert report.levels[0].maes.size == 30
     assert np.all(report.levels[0].maes >= 0.0)
+    refit = (sampler, smoothing, fit_config)
+    rebuilt = [_rebuilt_trial_mae(comp, model, spec, "sweep", (0,), t, (comp.names,), refit)
+               for t in range(spec.trials)]
+    assert report.levels[0].maes.tolist() == rebuilt
+
+
+def _rebuilt_trial_mae(comp, model, spec, stream, cell, t, targets, refit=None):
+    """One trial scored by rebuilding its perturbed composite and evaluating it."""
+    tau, v = lhs_box(rng_stream(spec.seed, "sweep_eval"), spec.m_eval)
+    rng = rng_stream(spec.seed, stream, *cell, t)
+    gammas = {}
+    for group, li in zip(targets, cell):
+        level = spec.gamma_levels[li]
+        for name in group:
+            gammas[name] = float(rng.uniform(-level, level))
+    actual = perturb_fractions(comp, gammas)
+    if refit is not None:
+        sampler, smoothing, fit_cfg = refit
+        trial_seed = int(rng.integers(0, 2**63 - 1))
+        data = sample_training(actual, replace(sampler, seed=trial_seed))
+        model = fit(data, smoothing, replace(fit_cfg, seed=trial_seed)).model
+    approx = harden(model).evaluate(tau, v)
+    return float(np.abs(approx - actual.evaluate(tau, v)).mean())
+
+
+def _five_scheme_composite():
+    # Irregular fractions whose float sum is 1 + 2**-52, so that a change of
+    # summation order, or renormalizing an unperturbed row, shows in the bits.
+    rng = np.random.default_rng(13)
+    fractions = rng.dirichlet(np.ones(5))
+    return CompositeProtection(tuple(
+        (ProtectionScheme(f"S{i}", random_zone(rng)), float(pi))
+        for i, pi in enumerate(fractions / fractions.sum())
+    ))
+
+
+@pytest.mark.parametrize("trials, targets", [(30, ()), (70, ("S1", "S3"))])
+def test_sweep_matches_rebuilt_composites(trials, targets):
+    # Trial counts that leave a partial last block of scored trials.
+    comp = _five_scheme_composite()
+    spec = UncertaintySpec(gamma_levels=(0.0, 0.6), targets=targets, trials=trials,
+                           seed=41, m_eval=700)
+    report = uncertainty_sweep(comp, TWO_BLOCK_TRUTH, spec)
+    group = targets or comp.names
+    tau, v = lhs_box(rng_stream(spec.seed, "sweep_eval"), spec.m_eval)
+    nominal = float(np.abs(harden(TWO_BLOCK_TRUTH).evaluate(tau, v) - comp.evaluate(tau, v)).mean())
+    assert report.nominal_mae == nominal
+    for li, stats in enumerate(report.levels):
+        rebuilt = [_rebuilt_trial_mae(comp, TWO_BLOCK_TRUTH, spec, "sweep", (li,), t, (group,))
+                   for t in range(trials)]
+        assert stats.maes.tolist() == rebuilt
+
+
+def test_matrix_matches_rebuilt_composites():
+    comp = _five_scheme_composite()
+    spec = UncertaintySpec(gamma_levels=(0.0, 0.3, 0.7), targets=("S1", "S3"),
+                           trials=33, seed=17, m_eval=400)
+    report = uncertainty_matrix(comp, TWO_BLOCK_TRUTH, spec)
+    groups = (("S1",), ("S3",))
+    for i in range(3):
+        for j in range(3):
+            rebuilt = sum(_rebuilt_trial_mae(comp, TWO_BLOCK_TRUTH, spec, "matrix", (i, j), t,
+                                             groups)
+                          for t in range(spec.trials)) / spec.trials
+            # Summation order differs, by at most about trials * eps relative.
+            assert report.mean_mae[i, j] == pytest.approx(
+                rebuilt, rel=spec.trials * np.finfo(float).eps, abs=0.0)
 
 
 def test_uncertainty_spec_validation():

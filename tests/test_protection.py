@@ -6,15 +6,11 @@ from hypothesis import given
 from helpers import fault_points, random_composite, random_zone, trip_zones
 from tripfit import (
     CompositeProtection,
-    FaultPoint,
     ProtectionScheme,
     TripZone,
     combine_schemes,
-    composite_F,
     grid_evaluate,
-    protection_f,
     series_combine,
-    zone_contains,
 )
 
 
@@ -22,24 +18,24 @@ from tripfit import (
 
 def test_empty_zone_contains_nothing():
     zone = TripZone()
-    assert not zone_contains(zone, FaultPoint(1.0, 20.0))
-    assert not zone_contains(zone, FaultPoint(0.0, 0.0))
+    assert not zone.contains(1.0, 20.0)
+    assert not zone.contains(0.0, 0.0)
 
 
 def test_boundary_points_are_inside():
     zone = TripZone(((0.1, 60.0),))
-    assert zone_contains(zone, FaultPoint(0.1, 60.0))
-    assert zone_contains(zone, FaultPoint(0.1, 0.0))
-    assert not zone_contains(zone, FaultPoint(0.0999, 60.0))
-    assert not zone_contains(zone, FaultPoint(0.1, 60.0001))
+    assert zone.contains(0.1, 60.0)
+    assert zone.contains(0.1, 0.0)
+    assert not zone.contains(0.0999, 60.0)
+    assert not zone.contains(0.1, 60.0001)
 
 
 def test_two_step_envelope():
     # V(0.3) = 40, V(0.6) = 70 by direct enumeration of the steps.
     zone = TripZone(((0.05, 40.0), (0.5, 70.0)))
-    assert not zone_contains(zone, FaultPoint(0.3, 55.0))
-    assert zone_contains(zone, FaultPoint(0.6, 55.0))
-    assert zone_contains(zone, FaultPoint(0.3, 40.0))
+    assert not zone.contains(0.3, 55.0)
+    assert zone.contains(0.6, 55.0)
+    assert zone.contains(0.3, 40.0)
 
 
 def test_zone_validation():
@@ -53,13 +49,6 @@ def test_zone_validation():
         TripZone(((0.1, 101.0),))
 
 
-def test_fault_point_validation():
-    with pytest.raises(ValueError):
-        FaultPoint(-0.1, 50.0)
-    with pytest.raises(ValueError):
-        FaultPoint(1.0, 100.5)
-
-
 @given(trip_zones(), fault_points())
 def test_monotonicity(zone, point):
     tau, v = point
@@ -68,14 +57,14 @@ def test_monotonicity(zone, point):
         assert zone.contains(tau, max(v - 1.0, 0.0))
 
 
-# ---------------------------------------------------------- protection_f
+# ------------------------------------------------------- ProtectionScheme.f
 
 def test_protection_f_values():
     empty = ProtectionScheme("none", TripZone())
-    assert protection_f(empty, FaultPoint(3.0, 10.0)) == 1
+    assert empty.f(3.0, 10.0) == 1
     scheme = ProtectionScheme("P", TripZone(((0.1, 60.0),)))
-    assert protection_f(scheme, FaultPoint(1.0, 50.0)) == 0
-    assert protection_f(scheme, FaultPoint(1.0, 80.0)) == 1
+    assert scheme.f(1.0, 50.0) == 0
+    assert scheme.f(1.0, 80.0) == 1
 
 
 # ---------------------------------------------------------- series_combine
@@ -126,8 +115,7 @@ def test_union_law_matches_product(za, zb, point):
     fa = ProtectionScheme("a", za)
     fb = ProtectionScheme("b", zb)
     fk = ProtectionScheme("k", series_combine([za, zb]))
-    p = FaultPoint(tau, v)
-    assert protection_f(fk, p) == protection_f(fa, p) * protection_f(fb, p)
+    assert fk.f(tau, v) == fa.f(tau, v) * fb.f(tau, v)
 
 
 def test_combine_schemes_sorted_name():
@@ -145,8 +133,8 @@ def test_combine_schemes_sorted_name():
 def test_composite_single_entry():
     scheme = ProtectionScheme("P", TripZone(((0.1, 60.0),)))
     comp = CompositeProtection(((scheme, 1.0),))
-    assert composite_F(comp, FaultPoint(0.05, 90.0)) == 1.0
-    assert composite_F(comp, FaultPoint(1.0, 30.0)) == 0.0
+    assert comp.evaluate(0.05, 90.0) == 1.0
+    assert comp.evaluate(1.0, 30.0) == 0.0
 
 
 def test_composite_two_entries_partial():
@@ -154,7 +142,7 @@ def test_composite_two_entries_partial():
     s2 = ProtectionScheme("b", TripZone(((2.0, 40.0),)))
     comp = CompositeProtection(((s1, 0.6), (s2, 0.4)))
     # inside zone a only: 0.6 * 0 + 0.4 * 1
-    assert composite_F(comp, FaultPoint(0.5, 50.0)) == pytest.approx(0.4, abs=1e-15)
+    assert comp.evaluate(0.5, 50.0) == pytest.approx(0.4, abs=1e-15)
 
 
 def test_composite_fraction_sum_enforced():

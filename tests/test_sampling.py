@@ -10,7 +10,6 @@ from tripfit import (
     Dataset,
     SamplerConfig,
     SamplingError,
-    latin_hypercube,
     sample_training,
     weight,
 )
@@ -118,8 +117,7 @@ def test_training_rejects_unreachable_threshold():
 # ---------------------------------------------------------- latin hypercube
 
 def test_lhs_occupies_every_stratum():
-    cfg = SamplerConfig(seed=3)
-    tau, v = latin_hypercube(100, cfg)
+    tau, v = lhs_box(rng_stream(3, "eval"), 100)
     t_strata = np.floor(tau / (5.0 / 100)).astype(int)
     v_strata = np.floor(v / (100.0 / 100)).astype(int)
     assert sorted(t_strata) == list(range(100))
@@ -127,17 +125,15 @@ def test_lhs_occupies_every_stratum():
 
 
 def test_lhs_single_point_and_mean():
-    cfg = SamplerConfig(seed=8)
-    tau, v = latin_hypercube(1, cfg)
+    tau, v = lhs_box(rng_stream(8, "eval"), 1)
     assert 0 <= tau[0] <= 5 and 0 <= v[0] <= 100
-    tau, _ = latin_hypercube(10_000, cfg)
+    tau, _ = lhs_box(rng_stream(8, "eval"), 10_000)
     assert abs(tau.mean() - 2.5) < 0.05
 
 
 def test_lhs_streams_disjoint_from_training():
-    cfg = SamplerConfig(seed=12)
-    tau_eval, _ = latin_hypercube(64, cfg)
-    train = rng_stream(cfg.seed, "train").uniform(0, 5, 64)
+    tau_eval, _ = lhs_box(rng_stream(12, "eval"), 64)
+    train = rng_stream(12, "train").uniform(0, 5, 64)
     assert not np.allclose(np.sort(tau_eval), np.sort(train))
 
 
