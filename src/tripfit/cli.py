@@ -157,7 +157,7 @@ def cmd_sweep(cfg: ProjectConfig, target: str) -> int:
     sweep_summary_csv(report, cfg.output_dir / f"sweep_{target}_summary.csv", comments)
     for stats in report.levels:
         print(f"sweep {target} level {stats.level:g}: mean={stats.mean:.4f} "
-              f"[{stats.p12_5:.4f}, {stats.p87_5:.4f}]")
+              f"[{stats.p12_5:.4f}, {stats.p87_5:.4f}] not_converged={stats.not_converged}")
 
     if cfg.matrix_targets is not None:
         names = set(comp.names)

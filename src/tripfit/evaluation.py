@@ -67,6 +67,7 @@ class LevelStats:
     p12_5: float
     p87_5: float
     maes: np.ndarray
+    not_converged: int  # refits that ended above gtol; 0 without refits
 
 
 @dataclass(frozen=True)
@@ -164,8 +165,8 @@ def _monte_carlo(
     stream: str,
     groups: tuple[tuple[str, ...], ...],
     refit_ctx: tuple[SamplerConfig, SmoothingConfig, FitConfig] | None = None,
-) -> tuple[float, np.ndarray]:
-    """Nominal MAE and per-trial MAEs of every level cell of a Monte Carlo study.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Nominal MAE, per-trial MAEs and non-converged refit counts of every level cell.
 
     Each group of target schemes gets one perturbation level; a cell picks
     one level index per group, so the result has shape
@@ -185,6 +186,7 @@ def _monte_carlo(
     levels = spec.gamma_levels
 
     maes = np.empty((len(levels),) * len(groups) + (spec.trials,))
+    not_converged = np.zeros(maes.shape[:-1], dtype=int)
     for cell in np.ndindex(maes.shape[:-1]):
         for start in range(0, spec.trials, _BLOCK_TRIALS):
             trials = range(start, min(start + _BLOCK_TRIALS, spec.trials))
@@ -205,11 +207,12 @@ def _monte_carlo(
                     trial_seed = int(rng.integers(0, 2**63 - 1))
                     actual = CompositeProtection(tuple(zip(schemes, fractions[row])))
                     data = sample_training(actual, replace(sampler, seed=trial_seed))
-                    model = fit(data, smoothing, replace(fit_cfg, seed=trial_seed)).model
-                    block_approx[row] = harden(model).evaluate(tau, v)
+                    result = fit(data, smoothing, replace(fit_cfg, seed=trial_seed))
+                    not_converged[cell] += not result.converged
+                    block_approx[row] = harden(result.model).evaluate(tau, v)
             maes[cell][start:trials.stop] = _maes(block_approx, fractions, conn)
     nominal_mae = float(_maes(approx, nominal[None, :], conn)[0])
-    return nominal_mae, maes
+    return nominal_mae, maes, not_converged
 
 
 def uncertainty_sweep(
@@ -238,12 +241,13 @@ def uncertainty_sweep(
             raise ValueError("refit sweeps need sampler, smoothing and fit configs")
         refit_ctx = (sampler, smoothing, fit_config)
 
-    nominal_mae, maes = _monte_carlo(c_nominal, fitted, spec, "sweep", (tuple(targets),),
-                                     refit_ctx)
+    nominal_mae, maes, not_converged = _monte_carlo(c_nominal, fitted, spec, "sweep",
+                                                    (tuple(targets),), refit_ctx)
     levels = []
-    for level, arr in zip(spec.gamma_levels, maes):
+    for level, arr, bad in zip(spec.gamma_levels, maes, not_converged):
         p12, p87 = np.percentile(arr, [12.5, 87.5])
-        levels.append(LevelStats(level, float(arr.mean()), float(p12), float(p87), arr))
+        levels.append(LevelStats(level, float(arr.mean()), float(p12), float(p87), arr,
+                                 int(bad)))
     return SweepReport(tuple(levels), nominal_mae, tuple(targets), spec.seed,
                        spec.m_eval, spec.trials)
 
@@ -265,7 +269,7 @@ def uncertainty_matrix(
     if missing:
         raise ValueError(f"matrix targets not in composite: {sorted(missing)}")
 
-    _, maes = _monte_carlo(c_nominal, fitted, spec, "matrix", ((target_a,), (target_b,)))
+    _, maes, _ = _monte_carlo(c_nominal, fitted, spec, "matrix", ((target_a,), (target_b,)))
     return MatrixReport(target_a, target_b, spec.gamma_levels, maes.mean(axis=-1),
                         spec.seed, spec.m_eval, spec.trials)
 

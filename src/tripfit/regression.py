@@ -184,8 +184,9 @@ def _sigmoid_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     so a tail keeps full relative precision down to the underflow threshold.
     """
     e = np.exp(-np.abs(z))
-    near_one = 1.0 / (1.0 + e)
-    near_zero = e / (1.0 + e)
+    d = 1.0 + e
+    near_one = 1.0 / d
+    near_zero = e / d
     pos = z >= 0.0
     return np.where(pos, near_one, near_zero), np.where(pos, near_zero, near_one)
 
@@ -205,7 +206,8 @@ def _block_parts(tau, v, tau_star, v_star, alpha_tau, alpha_v):
     1 - sigma(zt) (1 - sigma(zv)) but never subtracts from 1, so the value stays
     positive (about exp(-zt) + exp(zv)) deep in the trip corner instead of
     cancelling to 0.  Every smoothed-block value is computed here, so
-    smooth_model and the fitting cost see bit-identical blocks.
+    smooth_model and the fitting cost see bit-identical blocks; with column
+    vectors of thresholds, each row of the result is one block.
     """
     st, st_c = _sigmoid_pair(alpha_tau * (tau - tau_star))
     sv, sv_c = _sigmoid_pair(alpha_v * (v - v_star))
@@ -247,33 +249,34 @@ def hard_mse(m: SimplifiedModel, d: Dataset) -> float:
     return float(np.mean(r * r))
 
 
-def _residual_parts(theta, tau, v, y, alpha_tau, alpha_v):
-    pi1, t1, v1, t2, v2 = theta
-    block1 = _block_parts(tau, v, t1, v1, alpha_tau, alpha_v)
-    block2 = _block_parts(tau, v, t2, v2, alpha_tau, alpha_v)
-    r = pi1 * block1[0] + (1.0 - pi1) * block2[0] - y
-    return r, block1, block2
+def _cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v):
+    """Smoothed cost J and its gradient in the reduced coordinates, both blocks at once.
+
+    The blocks are the rows of (2, N) arrays built from the stacked thresholds.
+    The six per-point products are rows of one C-contiguous (6, N) array, and
+    each row mean is the same pairwise sum as a 1-D np.mean, so the result is
+    bit-identical to evaluating block by block.
+    """
+    pi1 = theta[0]
+    b, st, st_c, sv, sv_c = _block_parts(tau, v, theta[1::2, None], theta[2::2, None],
+                                         alpha_tau, alpha_v)
+    r = pi1 * b[0] + (1.0 - pi1) * b[1] - y
+    # dJ/dtheta_k = mean(r * dFhat/dtheta_k); dh(z)/dx_star = -alpha h(z) h(-z),
+    # with both tails taken from the block kernel rather than formed as 1 - h.
+    p = np.empty((6, r.shape[0]))
+    np.multiply(r, r, out=p[0])
+    np.multiply(r, b[0] - b[1], out=p[1])
+    r_st = r * st
+    np.multiply(r_st * st_c, sv_c, out=p[2:4])  # tau_star rows, block 1 then 2
+    np.multiply(r_st * sv, sv_c, out=p[4:6])    # v_star rows
+    m = p.mean(axis=1)
+    g = np.array([m[1], pi1 * alpha_tau * m[2], -pi1 * alpha_v * m[4],
+                  (1.0 - pi1) * alpha_tau * m[3], -(1.0 - pi1) * alpha_v * m[5]])
+    return 0.5 * float(m[0]), g
 
 
 def _cost_reduced(theta, tau, v, y, alpha_tau, alpha_v) -> float:
-    r = _residual_parts(theta, tau, v, y, alpha_tau, alpha_v)[0]
-    return 0.5 * float(np.mean(r * r))
-
-
-def _cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v):
-    pi1 = theta[0]
-    r, (b1, st1, st1_c, sv1, sv1_c), (b2, st2, st2_c, sv2, sv2_c) = _residual_parts(
-        theta, tau, v, y, alpha_tau, alpha_v
-    )
-    # dJ/dtheta_k = mean(r * dFhat/dtheta_k); dh(z)/dx_star = -alpha h(z) h(-z),
-    # with both tails taken from the block kernel rather than formed as 1 - h.
-    g = np.empty(5)
-    g[0] = float(np.mean(r * (b1 - b2)))
-    g[1] = pi1 * alpha_tau * float(np.mean(r * st1 * st1_c * sv1_c))
-    g[2] = -pi1 * alpha_v * float(np.mean(r * st1 * sv1 * sv1_c))
-    g[3] = (1.0 - pi1) * alpha_tau * float(np.mean(r * st2 * st2_c * sv2_c))
-    g[4] = -(1.0 - pi1) * alpha_v * float(np.mean(r * st2 * sv2 * sv2_c))
-    return 0.5 * float(np.mean(r * r)), g
+    return _cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v)[0]
 
 
 def cost(m: SimplifiedModel, d: Dataset, s: SmoothingConfig) -> float:
@@ -394,18 +397,6 @@ def brute_force_fit(d: Dataset, grid_resolution: int | tuple[int, int]) -> Simpl
     diag = np.diag(prod)
 
     best_val = np.inf
-    for pi1 in pi_grid:
-        pi2 = 1.0 - pi1
-        mse = (
-            pi1 * pi1 * diag[:, None]
-            + pi2 * pi2 * diag[None, :]
-            + 2.0 * pi1 * pi2 * prod
-            - 2.0 * pi1 * cross_y[:, None]
-            - 2.0 * pi2 * cross_y[None, :]
-            + y_sq
-        )
-        best_val = min(best_val, float(mse.min()))
-
     candidates = []
     for p_idx, pi1 in enumerate(pi_grid):
         pi2 = 1.0 - pi1
@@ -417,15 +408,16 @@ def brute_force_fit(d: Dataset, grid_resolution: int | tuple[int, int]) -> Simpl
             - 2.0 * pi2 * cross_y[None, :]
             + y_sq
         )
+        low = float(mse.min())
+        if low > best_val:
+            continue
+        if low < best_val:
+            best_val, candidates = low, []
         for i, j in np.argwhere(mse == best_val):
             model = SimplifiedModel.from_reduced(
                 (pi1, tau_grid[i // r_v], v_grid[i % r_v], tau_grid[j // r_v], v_grid[j % r_v])
             ).canonical()
             flat_index = (p_idx * k + i) * k + j
-            candidates.append(
-                (
-                    model.tau1_star, -model.v1_star, model.tau2_star, -model.v2_star,
-                    model.pi1, flat_index, model,
-                )
-            )
+            candidates.append((model.tau1_star, -model.v1_star, model.tau2_star,
+                               -model.v2_star, model.pi1, flat_index, model))
     return min(candidates)[-1]

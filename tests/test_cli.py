@@ -207,8 +207,12 @@ def test_cli_mae_and_sweep(tmp_path, capsys):
     matrix_csv_path = out_dir / "sweep_mixed_commercial_matrix.csv"
     assert long_csv.is_file() and summary_csv.is_file() and matrix_csv_path.is_file()
     first = long_csv.read_bytes()
+    capsys.readouterr()
     assert main(["sweep", "--config", str(path), "--motor", "mixed_commercial"]) == 0
     assert long_csv.read_bytes() == first
+    level_lines = [line for line in capsys.readouterr().out.splitlines() if " level " in line]
+    assert len(level_lines) == 2
+    assert all(line.endswith(" not_converged=0") for line in level_lines)
     data_rows = [r for r in long_csv.read_text().splitlines() if not r.startswith("#")]
     assert data_rows[0] == "level,trial,mae"
     assert len(data_rows) == 1 + 2 * 30

@@ -181,6 +181,17 @@ def test_sweep_refit_smoke(fitted_pair):
     assert report.levels[0].maes.tolist() == rebuilt
 
 
+def test_sweep_counts_non_converged_refits(fitted_pair):
+    comp, model = fitted_pair
+    spec = UncertaintySpec(gamma_levels=(0.0, 0.4), trials=30, seed=3, m_eval=300)
+    assert [stats.not_converged for stats in uncertainty_sweep(comp, model, spec).levels] == [0, 0]
+    sampler = SamplerConfig(weight_threshold=0.0, n_train=40, m_eval=400)
+    smoothing = SmoothingConfig(continuation_schedule=((25.0, 1.0),))
+    report = uncertainty_sweep(comp, model, replace(spec, refit=True), sampler=sampler,
+                               smoothing=smoothing, fit_config=FitConfig(max_iters=1))
+    assert [stats.not_converged for stats in report.levels] == [30, 30]
+
+
 def _rebuilt_trial_mae(comp, model, spec, stream, cell, t, targets, refit=None):
     """One trial scored by rebuilding its perturbed composite and evaluating it."""
     tau, v = lhs_box(rng_stream(spec.seed, "sweep_eval"), spec.m_eval)

@@ -24,6 +24,7 @@ from tripfit import (
     smooth_block,
     smooth_model,
 )
+from tripfit.protection import TAU_MAX, V_MAX
 from tripfit.sampling import Dataset
 
 RECOVERY_TRUTH = SimplifiedModel(0.4, 0.2, 70.0, 0.6, 1.5, 55.0)
@@ -297,6 +298,78 @@ def test_gradient_pi_zero_for_identical_blocks():
     assert cost_gradient(m, d, s)[0] == 0.0
 
 
+def _per_block_sigmoid_pair(z):
+    e = np.exp(-np.abs(z))
+    near_one = 1.0 / (1.0 + e)
+    near_zero = e / (1.0 + e)
+    pos = z >= 0.0
+    return np.where(pos, near_one, near_zero), np.where(pos, near_zero, near_one)
+
+
+def _per_block_parts(tau, v, tau_star, v_star, alpha_tau, alpha_v):
+    st, st_c = _per_block_sigmoid_pair(alpha_tau * (tau - tau_star))
+    sv, sv_c = _per_block_sigmoid_pair(alpha_v * (v - v_star))
+    return st_c + st * sv, st, st_c, sv, sv_c
+
+
+def _per_block_cost_grad(theta, tau, v, y, alpha_tau, alpha_v):
+    """Reference: the cost+gradient evaluated block by block, one np.mean per product."""
+    pi1, t1, v1, t2, v2 = theta
+    b1, st1, st1_c, sv1, sv1_c = _per_block_parts(tau, v, t1, v1, alpha_tau, alpha_v)
+    b2, st2, st2_c, sv2, sv2_c = _per_block_parts(tau, v, t2, v2, alpha_tau, alpha_v)
+    r = pi1 * b1 + (1.0 - pi1) * b2 - y
+    g = np.empty(5)
+    g[0] = float(np.mean(r * (b1 - b2)))
+    g[1] = pi1 * alpha_tau * float(np.mean(r * st1 * st1_c * sv1_c))
+    g[2] = -pi1 * alpha_v * float(np.mean(r * st1 * sv1 * sv1_c))
+    g[3] = (1.0 - pi1) * alpha_tau * float(np.mean(r * st2 * st2_c * sv2_c))
+    g[4] = -(1.0 - pi1) * alpha_v * float(np.mean(r * st2 * sv2 * sv2_c))
+    return 0.5 * float(np.mean(r * r)), g
+
+
+def _kernel_thetas(rng):
+    hi = np.array([1.0, TAU_MAX, V_MAX, TAU_MAX, V_MAX])
+    corners = [np.array(c) * hi for c in
+               ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1), (0, 1, 0, 1, 0), (1, 0, 1, 0, 1),
+                (0, 0, 1, 1, 0), (1, 1, 0, 0, 1))]
+    mixed = [rng.choice([0.0, 0.5, 1.0], 5) * hi for _ in range(4)]
+    return corners + mixed + [rng.uniform(0, 1, 5) * hi for _ in range(8)]
+
+
+def test_stacked_kernel_bit_equal_to_per_block():
+    from tripfit.regression import _cost_grad_reduced, _cost_reduced
+
+    rng = np.random.default_rng(31)
+    stages = SmoothingConfig().stages() + ((1e4, 1e3),)
+    for n in (5, 37, 200, 1000):
+        tau = rng.uniform(0, TAU_MAX, n)
+        v = rng.uniform(0, V_MAX, n)
+        y = rng.uniform(0, 1, n)
+        tau[0], v[-1] = 0.0, V_MAX
+        d = Dataset(tau, v, y)
+        for theta in _kernel_thetas(rng):
+            m = SimplifiedModel.from_reduced(theta)
+            for at, av in stages:
+                cost_ref, g_ref = _per_block_cost_grad(theta, tau, v, y, at, av)
+                cost_val, g = _cost_grad_reduced(theta, tau, v, y, at, av)
+                assert cost_val == cost_ref
+                assert np.array_equal(g, g_ref), (n, theta, at, av, g, g_ref)
+                s = SmoothingConfig(at, av, continuation_schedule=None)
+                assert cost(m, d, s) == _cost_reduced(theta, tau, v, y, at, av) == cost_val
+
+
+def test_fit_unchanged_under_per_block_kernel(monkeypatch):
+    from tripfit import regression
+
+    rng = np.random.default_rng(32)
+    cfg = SamplerConfig(weight_threshold=0.0, n_train=200, m_eval=2000, seed=33)
+    d = sample_training(random_composite(rng), cfg)
+    f = FitConfig(n_starts=4, seed=34)
+    stacked = fit(d, SmoothingConfig(), f).to_jsonable()
+    monkeypatch.setattr(regression, "_cost_grad_reduced", _per_block_cost_grad)
+    assert fit(d, SmoothingConfig(), f).to_jsonable() == stacked
+
+
 # ------------------------------------------------------------------- fit
 
 def test_fit_recovers_two_block_truth():
@@ -440,6 +513,51 @@ def test_fit_dominates_brute_force_quick():
         result = fit(d, SmoothingConfig(), FitConfig(seed=60 + i))
         reference = brute_force_fit(d, 9)
         assert hard_mse(result.model, d) <= hard_mse(reference, d) + 0.01
+
+
+def _two_pass_brute_force(d, r):
+    """Reference: the brute-force table built twice, for the minimum and then its ties."""
+    tau_grid = np.linspace(0.0, TAU_MAX, r)
+    v_grid = np.linspace(0.0, V_MAX, r)
+    pi_grid = np.round(np.arange(21) * 0.05, 2)
+    n = len(d)
+    t_ind = d.tau_f[None, :] >= tau_grid[:, None]
+    v_ind = d.v_f[None, :] <= v_grid[:, None]
+    blocks = 1.0 - (t_ind[:, None, :] & v_ind[None, :, :]).reshape(r * r, n)
+    k = blocks.shape[0]
+    prod = (blocks @ blocks.T) / n
+    cross_y = (blocks @ d.y) / n
+    y_sq = float(np.mean(d.y * d.y))
+    diag = np.diag(prod)
+
+    def table(pi1):
+        pi2 = 1.0 - pi1
+        return (pi1 * pi1 * diag[:, None] + pi2 * pi2 * diag[None, :]
+                + 2.0 * pi1 * pi2 * prod - 2.0 * pi1 * cross_y[:, None]
+                - 2.0 * pi2 * cross_y[None, :] + y_sq)
+
+    best_val = min(float(table(pi1).min()) for pi1 in pi_grid)
+    candidates = []
+    for p_idx, pi1 in enumerate(pi_grid):
+        for i, j in np.argwhere(table(pi1) == best_val):
+            model = SimplifiedModel.from_reduced(
+                (pi1, tau_grid[i // r], v_grid[i % r], tau_grid[j // r], v_grid[j % r])
+            ).canonical()
+            candidates.append((model.tau1_star, -model.v1_star, model.tau2_star,
+                               -model.v2_star, model.pi1, (p_idx * k + i) * k + j, model))
+    return min(candidates)[-1]
+
+
+def test_brute_force_matches_two_pass_table():
+    rng = np.random.default_rng(41)
+    for trial in range(20):
+        n = int(rng.integers(5, 120))
+        tau, v = rng.uniform(0, 5, n), rng.uniform(0, 100, n)
+        # many grid blocks coincide on the data, so most datasets have tied minima
+        y = random_composite(rng).evaluate(tau, v) if trial % 2 else rng.uniform(0, 1, n)
+        d = Dataset(tau, v, y)
+        r = int(rng.integers(5, 10))
+        assert brute_force_fit(d, r) == _two_pass_brute_force(d, r)
 
 
 def test_brute_force_rejects_bad_input():
