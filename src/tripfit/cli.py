@@ -53,11 +53,26 @@ def _fit_result_path(cfg: ProjectConfig, target: str) -> Path:
     return cfg.output_dir / f"fit_{target}.json"
 
 
+# The config entries a fitted model depends on.
+_FIT_INPUTS = ("seed", "protection_library", "sampler", "smoothing", "fit", "composites")
+
+
 def _load_fitted_model(cfg: ProjectConfig, target: str):
+    """The model of fit_<target>.json, refused if it was fitted under other inputs."""
     path = _fit_result_path(cfg, target)
     if not path.is_file():
         raise ConfigError(f"no fit result at {path}; run `tripfit fit --motor {target}` first")
-    return model_from_jsonable(json.loads(path.read_text())["model"])
+    doc = json.loads(path.read_text())
+    stored = doc.get("config", {})
+    for key in _FIT_INPUTS:
+        old, new = stored.get(key), cfg.echo[key]
+        if old == new:
+            continue
+        if isinstance(old, dict) and isinstance(new, dict):
+            key += "." + min(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+        raise ConfigError(f"{path} was fitted under a different {key}; "
+                          f"rerun `tripfit fit --motor {target}` with this config")
+    return model_from_jsonable(doc["model"])
 
 
 def cmd_validate(cfg: ProjectConfig) -> int:

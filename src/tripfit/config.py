@@ -11,7 +11,7 @@ Layout (all sections optional except protection_library; defaults shown by
                     "n_train": 200, "m_eval": 5000},
       "smoothing": {"alpha_tau": 50.0, "alpha_v": 2.0,
                     "continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
-      "fit":       {"n_starts": 20, "max_iters": 400, "gtol": 1e-8, "ptol": 1e-12},
+      "fit":       {"n_starts": 20, "max_iters": 400, "gtol": 1e-5, "ptol": 1e-12},
       "uncertainty": {"gamma_levels": [0.1, ..., 0.8], "targets": [],
                       "trials": 200, "refit": false, "m_eval": 2000,
                       "matrix_targets": ["P2", "P1-P4-P5"]},

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
+# fit no longer calls minimize; the name stays bound because bench/tracing.py
+# patches tripfit.regression.minimize when it installs its spans.
+from scipy.optimize import minimize  # noqa: F401
+# scipy's private L-BFGS-B reverse-communication step: the 17-argument C setulb
+# of scipy >= 1.15.  tests/test_regression.py::test_fit_matches_per_start_minimize
+# pins fit to the public scipy.optimize.minimize loop it mirrors.
+from scipy.optimize._lbfgsb import setulb as _setulb
 
 from .protection import TAU_MAX, V_MAX, CompositeProtection, ProtectionScheme, TripZone
 from .rng import rng_stream
@@ -252,31 +258,35 @@ def hard_mse(m: SimplifiedModel, d: Dataset) -> float:
 def _cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v):
     """Smoothed cost J and its gradient in the reduced coordinates, both blocks at once.
 
-    The blocks are the rows of (2, N) arrays built from the stacked thresholds.
-    The six per-point products are rows of one C-contiguous (6, N) array, and
-    each row mean is the same pairwise sum as a 1-D np.mean, so the result is
-    bit-identical to evaluating block by block.
+    theta is one parameter vector (5,) or a stack of them (S, 5); the result
+    is cost () and gradient (5,), or costs (S,) and gradients (S, 5).  Each
+    row's blocks are built from its stacked thresholds, and its six per-point
+    products are rows of one C-contiguous (..., 6, N) array.  Each mean over
+    the last axis is the same pairwise sum as a 1-D np.mean, so every row is
+    bit-identical to evaluating that row alone, block by block.
     """
-    pi1 = theta[0]
-    b, st, st_c, sv, sv_c = _block_parts(tau, v, theta[1::2, None], theta[2::2, None],
+    pi1 = theta[..., 0]
+    pi2 = 1.0 - pi1
+    b, st, st_c, sv, sv_c = _block_parts(tau, v, theta[..., 1::2, None], theta[..., 2::2, None],
                                          alpha_tau, alpha_v)
-    r = pi1 * b[0] + (1.0 - pi1) * b[1] - y
+    b1, b2 = b[..., 0, :], b[..., 1, :]
+    r = pi1[..., None] * b1 + pi2[..., None] * b2 - y
     # dJ/dtheta_k = mean(r * dFhat/dtheta_k); dh(z)/dx_star = -alpha h(z) h(-z),
     # with both tails taken from the block kernel rather than formed as 1 - h.
-    p = np.empty((6, r.shape[0]))
-    np.multiply(r, r, out=p[0])
-    np.multiply(r, b[0] - b[1], out=p[1])
-    r_st = r * st
-    np.multiply(r_st * st_c, sv_c, out=p[2:4])  # tau_star rows, block 1 then 2
-    np.multiply(r_st * sv, sv_c, out=p[4:6])    # v_star rows
-    m = p.mean(axis=1)
-    g = np.array([m[1], pi1 * alpha_tau * m[2], -pi1 * alpha_v * m[4],
-                  (1.0 - pi1) * alpha_tau * m[3], -(1.0 - pi1) * alpha_v * m[5]])
-    return 0.5 * float(m[0]), g
+    p = np.empty(r.shape[:-1] + (6, r.shape[-1]))
+    np.multiply(r, r, out=p[..., 0, :])
+    np.multiply(r, b1 - b2, out=p[..., 1, :])
+    r_st = r[..., None, :] * st
+    np.multiply(r_st * st_c, sv_c, out=p[..., 2:4, :])  # tau_star rows, block 1 then 2
+    np.multiply(r_st * sv, sv_c, out=p[..., 4:6, :])    # v_star rows
+    m = p.mean(axis=-1)
+    g = np.stack([m[..., 1], pi1 * alpha_tau * m[..., 2], -pi1 * alpha_v * m[..., 4],
+                  pi2 * alpha_tau * m[..., 3], -pi2 * alpha_v * m[..., 5]], axis=-1)
+    return 0.5 * m[..., 0], g
 
 
 def _cost_reduced(theta, tau, v, y, alpha_tau, alpha_v) -> float:
-    return _cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v)[0]
+    return float(_cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v)[0])
 
 
 def cost(m: SimplifiedModel, d: Dataset, s: SmoothingConfig) -> float:
@@ -293,13 +303,78 @@ def cost_gradient(m: SimplifiedModel, d: Dataset, s: SmoothingConfig) -> np.ndar
     return _cost_grad_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y, s.alpha_tau, s.alpha_v)[1]
 
 
+# scipy.optimize.minimize(method="L-BFGS-B") defaults: maxcor, maxls, maxfun.
+_LBFGSB_M = 10
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15000
+_TASK_FG, _TASK_NEW_X, _TASK_STOP = 3, 1, 5
+
+
+def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray, list[int]]:
+    """Bounded L-BFGS-B on the unit box from every row of x0, all rows in lockstep.
+
+    Each row is its own solve, step for step the loop of
+    scipy.optimize.minimize(method="L-BFGS-B", jac=True) with ftol=ptol,
+    gtol=gtol and maxiter=max_iters: START is served from the evaluation at
+    x0, an iteration is counted at each NEW_X, and a solve stops once it has
+    done max_iters iterations or more than 15 000 evaluations.  A point equal
+    to the last evaluated one reuses its f and g, as scipy's memoization does.
+    The rows that ask for f and g in the same round share one fun_grad call on
+    the stacked points.  Returns the final points (S, n) and iteration counts.
+    """
+    n_rows, n = x0.shape
+    m = _LBFGSB_M
+    lo, hi, nbd = np.zeros(n), np.ones(n), np.full(n, 2, dtype=np.int32)
+    factr, pgtol = f.ptol / np.finfo(float).eps, f.gtol
+    x = [row.copy() for row in x0]
+    fx = [0.0] * n_rows
+    gx = [np.zeros(n) for _ in range(n_rows)]
+    work = [(np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32),
+             np.zeros(2, np.int32), np.zeros(4, np.int32), np.zeros(44, np.int32),
+             np.zeros(29), np.zeros(2, np.int32)) for _ in range(n_rows)]
+    seen_x = [row.copy() for row in x0]
+    seen_f, seen_g = fun_grad(x0)
+    nfev = [1] * n_rows
+    iters = [0] * n_rows
+    active = range(n_rows)
+    while active:
+        asking = []
+        for k in active:
+            wa, iwa, task, lsave, isave, dsave, ln_task = work[k]
+            while True:
+                _setulb(m, x[k], lo, hi, nbd, fx[k], gx[k], factr, pgtol, wa, iwa, task,
+                        lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+                if task[0] == _TASK_FG:
+                    asking.append(k)
+                    break
+                if task[0] != _TASK_NEW_X:
+                    break
+                iters[k] += 1
+                if iters[k] >= f.max_iters:
+                    task[:] = _TASK_STOP, 504
+                elif nfev[k] > _LBFGSB_MAXFUN:
+                    task[:] = _TASK_STOP, 502
+        fresh = [k for k in asking if not (x[k] == seen_x[k]).all()]
+        if fresh:
+            new_f, new_g = fun_grad(np.array([x[k] for k in fresh]))
+            for i, k in enumerate(fresh):
+                seen_x[k] = x[k].copy()
+                seen_f[k], seen_g[k] = new_f[i], new_g[i]
+                nfev[k] += 1
+        for k in asking:
+            fx[k], gx[k] = seen_f[k], seen_g[k].copy()
+        active = asking
+    return np.array(x), iters
+
+
 def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
     """Fit the two-block model by multistart bounded quasi-Newton descent.
 
     Each Latin-hypercube start is driven through the steepness continuation
     stages (warm-starting each stage from the last; the final stage falls
-    back to the raw start if continuation degraded its cost).  A start counts
-    as converged when its final projected-gradient norm is at most gtol.  The
+    back to the raw start if continuation degraded its cost).  All starts of
+    a stage run in lockstep, each its own L-BFGS-B solve.  A start counts as
+    converged when its final projected-gradient norm is at most gtol.  The
     winner is the lowest final-stage cost, ties broken by start index.
     Deterministic given (d, s, f).
     """
@@ -309,51 +384,39 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
     tau, v, y = d.tau_f, d.v_f, d.y
 
     def fun_grad(u, alpha_tau, alpha_v):
-        fval, g = _cost_grad_reduced(_LO + u * _SPAN, tau, v, y, alpha_tau, alpha_v)
-        return fval, g * _SPAN
+        costs, g = _cost_grad_reduced(_LO + u * _SPAN, tau, v, y, alpha_tau, alpha_v)
+        return costs, g * _SPAN
 
     starts = lhs_unit(rng_stream(f.seed, "multistart"), f.n_starts, 5)
-    bounds = [(0.0, 1.0)] * 5
-    options = {"maxiter": f.max_iters, "ftol": f.ptol, "gtol": f.gtol}
+    u = starts
+    iters = np.zeros(f.n_starts, dtype=int)
+    for si, stage in enumerate(stages):
+        if si == len(stages) - 1 and si > 0:
+            # Where continuation hurt at the final steepness, restart clean.
+            both = fun_grad(np.concatenate([starts, u]), *stage)[0]
+            u = np.where((both[:f.n_starts] < both[f.n_starts:])[:, None], starts, u)
+        x, nit = _lbfgsb_lockstep(lambda w: fun_grad(w, *stage), u, f)
+        u = np.clip(x, 0.0, 1.0)
+        iters += nit
+    start_costs, g = fun_grad(u, *stages[-1])
+    pg_norm = np.abs(u - np.clip(u - g, 0.0, 1.0)).max(axis=1)
+    start_conv = pg_norm <= f.gtol
+    start_index = int(np.argmin(start_costs))  # the first of equal lowest costs
 
-    best = None  # (final_cost, start_index, u, total_iters, converged)
-    start_costs: list[float] = []
-    start_iters: list[int] = []
-    start_conv: list[bool] = []
-    for k in range(f.n_starts):
-        u = starts[k]
-        total_it = 0
-        for si, stage in enumerate(stages):
-            if si == len(stages) - 1 and si > 0:
-                if fun_grad(starts[k], *stage)[0] < fun_grad(u, *stage)[0]:
-                    u = starts[k]  # continuation hurt at final steepness; restart clean
-            res = minimize(fun_grad, u, args=stage, jac=True, method="L-BFGS-B",
-                           bounds=bounds, options=options)
-            u = np.clip(res.x, 0.0, 1.0)
-            total_it += int(res.nit)
-        fval, g = fun_grad(u, *stages[-1])
-        pg_norm = float(np.abs(u - np.clip(u - g, 0.0, 1.0)).max())
-        converged = pg_norm <= f.gtol
-        start_costs.append(fval)
-        start_iters.append(total_it)
-        start_conv.append(converged)
-        if best is None or fval < best[0]:
-            best = (fval, k, u, total_it, converged)
-
-    final_cost, start_index, u_best, iters, converged = best
-    model = SimplifiedModel.from_reduced(_LO + u_best * _SPAN).canonical()
+    model = SimplifiedModel.from_reduced(_LO + u[start_index] * _SPAN).canonical()
     alpha_final = stages[-1]
     # Recompute at the canonical parameter layout so the stored cost matches
     # cost(model, d) bit-for-bit.
     final_cost = _cost_reduced(model.as_reduced(), tau, v, y, *alpha_final)
     diagnostics = {
-        "start_costs": start_costs,
-        "start_iterations": start_iters,
-        "start_converged": start_conv,
+        "start_costs": start_costs.tolist(),
+        "start_iterations": iters.tolist(),
+        "start_converged": start_conv.tolist(),
         "alpha_stages": [list(stage) for stage in stages],
         "alpha_final": list(alpha_final),
     }
-    return FitResult(model, final_cost, converged, iters, start_index, diagnostics)
+    return FitResult(model, final_cost, bool(start_conv[start_index]),
+                     int(iters[start_index]), start_index, diagnostics)
 
 
 def harden(m: SimplifiedModel) -> CompositeProtection:

@@ -218,6 +218,31 @@ def test_cli_mae_and_sweep(tmp_path, capsys):
     assert len(data_rows) == 1 + 2 * 30
 
 
+def test_cli_rejects_fit_from_other_seed_or_setup(tmp_path, capsys):
+    path = _small_config(tmp_path)
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path), "--motor", "C", "--seed", "12"]) == 2
+    err = capsys.readouterr().err
+    assert "fitted under a different seed" in err and "fit_C.json" in err
+    assert not (tmp_path / "out" / "sweep_C_long.csv").exists()
+
+    other_fit = _small_config(tmp_path, fit={"n_starts": 4, "max_iters": 150, "gtol": 1e-6})
+    assert main(["mae", "--config", str(other_fit), "--motor", "C"]) == 2
+    assert "different fit.gtol" in capsys.readouterr().err
+    other_sampler = _small_config(tmp_path, sampler={"n_train": 59, "m_eval": 600})
+    assert main(["grid", "--config", str(other_sampler), "--motor", "C",
+                 "--target", "fitted", "--resolution", "2"]) == 2
+    assert "different sampler.n_train" in capsys.readouterr().err
+
+    # The uncertainty section and the output directory are not fit inputs.
+    same_fit = _small_config(tmp_path, uncertainty={"gamma_levels": [0.0], "trials": 30,
+                                                    "m_eval": 300})
+    assert main(["sweep", "--config", str(same_fit), "--motor", "C"]) == 0
+    path = _small_config(tmp_path)
+    assert main(["mae", "--config", str(path), "--motor", "C"]) == 0
+
+
 def test_cli_sweep_skips_matrix_when_targets_absent(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0

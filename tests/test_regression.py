@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from helpers import random_composite
 from tripfit import (
     FitConfig,
+    FitResult,
     SamplerConfig,
     SimplifiedModel,
     SmoothingConfig,
     brute_force_fit,
     cost,
     cost_gradient,
+    default_library,
     fit,
     hard_mse,
     hard_values,
@@ -347,15 +349,33 @@ def test_stacked_kernel_bit_equal_to_per_block():
         y = rng.uniform(0, 1, n)
         tau[0], v[-1] = 0.0, V_MAX
         d = Dataset(tau, v, y)
-        for theta in _kernel_thetas(rng):
-            m = SimplifiedModel.from_reduced(theta)
-            for at, av in stages:
-                cost_ref, g_ref = _per_block_cost_grad(theta, tau, v, y, at, av)
+        thetas = _kernel_thetas(rng)
+        for at, av in stages:
+            refs = [_per_block_cost_grad(theta, tau, v, y, at, av) for theta in thetas]
+            for theta, (cost_ref, g_ref) in zip(thetas, refs):
                 cost_val, g = _cost_grad_reduced(theta, tau, v, y, at, av)
                 assert cost_val == cost_ref
                 assert np.array_equal(g, g_ref), (n, theta, at, av, g, g_ref)
+                m = SimplifiedModel.from_reduced(theta)
                 s = SmoothingConfig(at, av, continuation_schedule=None)
                 assert cost(m, d, s) == _cost_reduced(theta, tau, v, y, at, av) == cost_val
+            # Batched rows: each row of a stack equals that row evaluated alone.
+            for rows in (1, 3, 20):
+                pick = rng.integers(0, len(thetas), rows)
+                costs, grads = _cost_grad_reduced(np.array([thetas[i] for i in pick]),
+                                                  tau, v, y, at, av)
+                assert costs.shape == (rows,) and grads.shape == (rows, 5)
+                for i, row in enumerate(pick):
+                    assert costs[i] == refs[row][0]
+                    assert np.array_equal(grads[i], refs[row][1]), (n, rows, i, at, av)
+
+
+def _per_block_rows(theta, tau, v, y, alpha_tau, alpha_v):
+    """The per-block reference over a (5,) vector or an (S, 5) stack, row by row."""
+    rows = [_per_block_cost_grad(t, tau, v, y, alpha_tau, alpha_v) for t in np.atleast_2d(theta)]
+    costs = np.array([c for c, _ in rows])
+    grads = np.array([g for _, g in rows])
+    return (costs, grads) if np.ndim(theta) == 2 else (costs[0], grads[0])
 
 
 def test_fit_unchanged_under_per_block_kernel(monkeypatch):
@@ -366,8 +386,90 @@ def test_fit_unchanged_under_per_block_kernel(monkeypatch):
     d = sample_training(random_composite(rng), cfg)
     f = FitConfig(n_starts=4, seed=34)
     stacked = fit(d, SmoothingConfig(), f).to_jsonable()
-    monkeypatch.setattr(regression, "_cost_grad_reduced", _per_block_cost_grad)
+    monkeypatch.setattr(regression, "_cost_grad_reduced", _per_block_rows)
     assert fit(d, SmoothingConfig(), f).to_jsonable() == stacked
+
+
+def _per_start_minimize_fit(d, s, f):
+    """Reference fit: each start driven through scipy.optimize.minimize, one at a time."""
+    from scipy.optimize import minimize
+
+    from tripfit.regression import _LO, _SPAN, _cost_grad_reduced, _cost_reduced
+    from tripfit.rng import rng_stream
+    from tripfit.sampling import lhs_unit
+
+    stages = s.stages()
+    tau, v, y = d.tau_f, d.v_f, d.y
+
+    def fun_grad(u, alpha_tau, alpha_v):
+        fval, g = _cost_grad_reduced(_LO + u * _SPAN, tau, v, y, alpha_tau, alpha_v)
+        return fval, g * _SPAN
+
+    starts = lhs_unit(rng_stream(f.seed, "multistart"), f.n_starts, 5)
+    options = {"maxiter": f.max_iters, "ftol": f.ptol, "gtol": f.gtol}
+    best = None
+    start_costs, start_iters, start_conv = [], [], []
+    for k in range(f.n_starts):
+        u = starts[k]
+        total_it = 0
+        for si, stage in enumerate(stages):
+            if si == len(stages) - 1 and si > 0:
+                if fun_grad(starts[k], *stage)[0] < fun_grad(u, *stage)[0]:
+                    u = starts[k]
+            res = minimize(fun_grad, u, args=stage, jac=True, method="L-BFGS-B",
+                           bounds=[(0.0, 1.0)] * 5, options=options)
+            u = np.clip(res.x, 0.0, 1.0)
+            total_it += int(res.nit)
+        fval, g = fun_grad(u, *stages[-1])
+        converged = float(np.abs(u - np.clip(u - g, 0.0, 1.0)).max()) <= f.gtol
+        start_costs.append(fval)
+        start_iters.append(total_it)
+        start_conv.append(converged)
+        if best is None or fval < best[0]:
+            best = (fval, k, u, total_it, converged)
+
+    _, start_index, u_best, iters, converged = best
+    model = SimplifiedModel.from_reduced(_LO + u_best * _SPAN).canonical()
+    final_cost = _cost_reduced(model.as_reduced(), tau, v, y, *stages[-1])
+    diagnostics = {
+        "start_costs": start_costs,
+        "start_iterations": start_iters,
+        "start_converged": start_conv,
+        "alpha_stages": [list(stage) for stage in stages],
+        "alpha_final": list(stages[-1]),
+    }
+    return FitResult(model, final_cost, converged, iters, start_index, diagnostics)
+
+
+def _minimize_cases():
+    lib = default_library()
+    for target in ("A", "B", "C", "D", "mixed_commercial"):
+        for seed in (1, 2, 3):
+            yield (f"{target}-{seed}", lib.composite(target), SamplerConfig(seed=seed),
+                   SmoothingConfig(), FitConfig(seed=seed))
+    comp = lib.composite("mixed_commercial")
+    yield ("one-start-one-iter", comp, SamplerConfig(seed=4), SmoothingConfig(),
+           FitConfig(n_starts=1, max_iters=1, seed=4))
+    yield ("three-starts-five-iters", comp, SamplerConfig(seed=5), SmoothingConfig(),
+           FitConfig(n_starts=3, max_iters=5, seed=5))
+    yield ("no-continuation", lib.composite("D"), SamplerConfig(seed=6),
+           SmoothingConfig(continuation_schedule=None), FitConfig(n_starts=8, seed=6))
+    yield ("steep-schedule", comp, SamplerConfig(seed=7),
+           SmoothingConfig(continuation_schedule=((5.0, 0.1), (1e4, 1e3))),
+           FitConfig(n_starts=8, seed=7))
+    for n_train in (37, 237):
+        yield (f"n_train-{n_train}", lib.composite("B"),
+               SamplerConfig(n_train=n_train, m_eval=10 * n_train, seed=n_train),
+               SmoothingConfig(), FitConfig(n_starts=8, seed=n_train))
+
+
+def test_fit_matches_per_start_minimize():
+    # Also the guard against a scipy release whose private setulb step no
+    # longer matches its own minimize loop.
+    for name, comp, sampler, smoothing, fit_cfg in _minimize_cases():
+        d = sample_training(comp, sampler)
+        expected = _per_start_minimize_fit(d, smoothing, fit_cfg).to_jsonable()
+        assert fit(d, smoothing, fit_cfg).to_jsonable() == expected, name
 
 
 # ------------------------------------------------------------------- fit
