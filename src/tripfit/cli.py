@@ -10,7 +10,6 @@ files byte for byte.  Exit codes: 0 success, 1 fit did not converge,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -19,7 +18,6 @@ import numpy as np
 
 from .config import ConfigError, ProjectConfig, load_config
 from .evaluation import (
-    UncertaintySpec,
     mae,
     matrix_csv,
     sweep_long_csv,
@@ -174,16 +172,14 @@ def cmd_sweep(cfg: ProjectConfig, target: str) -> int:
         print(f"sweep {target} level {stats.level:g}: mean={stats.mean:.4f} "
               f"[{stats.p12_5:.4f}, {stats.p87_5:.4f}] not_converged={stats.not_converged}")
 
-    if cfg.matrix_targets is not None:
-        names = set(comp.names)
-        if set(cfg.matrix_targets) <= names:
-            mspec = dataclasses.replace(spec, targets=cfg.matrix_targets)
-            mreport = uncertainty_matrix(comp, model, mspec)
+    pair = spec.matrix_targets
+    if pair is not None:
+        if set(pair) <= set(comp.names):
+            mreport = uncertainty_matrix(comp, model, spec)
             matrix_csv(mreport, cfg.output_dir / f"sweep_{target}_matrix.csv", comments)
-            print(f"sweep {target} matrix over {cfg.matrix_targets[0]} x "
-                  f"{cfg.matrix_targets[1]} written")
+            print(f"sweep {target} matrix over {pair[0]} x {pair[1]} written")
         else:
-            print(f"warning: matrix targets {cfg.matrix_targets} not all present in "
+            print(f"warning: matrix targets {pair} not all present in "
                   f"composite {target}; matrix sweep skipped", file=sys.stderr)
     return 0
 

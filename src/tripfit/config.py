@@ -19,8 +19,11 @@ Layout (all sections optional except protection_library; defaults shown by
     }
 
 The global seed feeds every stochastic stage; named RNG streams keep them
-independent.  The fully materialized configuration is echoed into every
-output file, so any artifact can be re-derived exactly.
+independent, and a `seed` inside a section is rejected.  `smoothing.alpha_tau`
+and `alpha_v` set the fit's steepness only when `continuation_schedule` is
+null; otherwise the schedule's stages do.  The fully materialized
+configuration is echoed into every output file, so any artifact can be
+re-derived exactly.
 """
 
 from __future__ import annotations
@@ -31,9 +34,17 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .evaluation import UncertaintySpec
-from .library import ProtectionLibrary, load_library, parse_library, library_to_jsonable
+from .library import BUILTIN, ProtectionLibrary, parse_library, read_library
 from .regression import FitConfig, SmoothingConfig
 from .sampling import SamplerConfig
+
+# The sections that configure one pipeline stage each, by the dataclass that validates them.
+_SECTIONS = {
+    "sampler": SamplerConfig,
+    "smoothing": SmoothingConfig,
+    "fit": FitConfig,
+    "uncertainty": UncertaintySpec,
+}
 
 
 class ConfigError(ValueError):
@@ -47,15 +58,18 @@ def _section(doc: dict, name: str, where: str) -> dict:
     return dict(raw)
 
 
-def _build(cls, raw: dict, where: str, **injected):
-    known = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - known
+def _build(cls, raw: dict, where: str, seed: int):
+    """The section's dataclass, given the global seed if it has a seed field."""
+    if "seed" in raw:
+        raise ConfigError(f"{where}: 'seed' is set at the top level only")
+    fields = {f.name for f in dataclasses.fields(cls)}
+    unknown = set(raw) - fields
     if unknown:
         raise ConfigError(
-            f"{where}: unknown field(s) {sorted(unknown)}; known: {sorted(known)}"
+            f"{where}: unknown field(s) {sorted(unknown)}; known: {sorted(fields - {'seed'})}"
         )
     try:
-        return cls(**{**raw, **injected})
+        return cls(**raw, **({"seed": seed} if "seed" in fields else {}))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
@@ -68,7 +82,6 @@ class ProjectConfig:
     smoothing: SmoothingConfig
     fit: FitConfig
     uncertainty: UncertaintySpec
-    matrix_targets: tuple[str, str] | None
     output_dir: Path
     seed: int
     echo: dict
@@ -81,33 +94,6 @@ class ProjectConfig:
             return self.library.composite(key)
         except (KeyError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-
-
-def _materialize_echo(cfg: ProjectConfig) -> dict:
-    def plain(dc, drop=()):
-        out = dataclasses.asdict(dc)
-        for key in drop:
-            out.pop(key, None)
-        for key, value in out.items():
-            if isinstance(value, tuple):
-                out[key] = list(value)
-        return out
-
-    smoothing = plain(cfg.smoothing)
-    if smoothing["continuation_schedule"] is not None:
-        smoothing["continuation_schedule"] = [list(s) for s in smoothing["continuation_schedule"]]
-    uncertainty = plain(cfg.uncertainty, drop=("seed",))
-    uncertainty["matrix_targets"] = list(cfg.matrix_targets) if cfg.matrix_targets else None
-    return {
-        "protection_library": cfg.library_source,
-        "output_dir": str(cfg.output_dir),
-        "seed": cfg.seed,
-        "sampler": plain(cfg.sampler, drop=("seed",)),
-        "smoothing": smoothing,
-        "fit": plain(cfg.fit, drop=("seed",)),
-        "uncertainty": uncertainty,
-        "composites": {k: dict(v) for k, v in cfg.library.composites.items()},
-    }
 
 
 def load_config(
@@ -127,78 +113,51 @@ def load_config(
         ) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
-    known_top = {
-        "protection_library", "output_dir", "seed", "sampler", "smoothing",
-        "fit", "uncertainty", "composites",
-    }
-    unknown = set(doc) - known_top
+    unknown = set(doc) - {"protection_library", "output_dir", "seed", "composites", *_SECTIONS}
     if unknown:
         raise ConfigError(f"{path}: unknown top-level field(s) {sorted(unknown)}")
+    for key in ("protection_library", "output_dir"):
+        if not isinstance(doc.get(key, ""), str):
+            raise ConfigError(f"{path}: {key} must be a string")
 
-    lib_ref = doc.get("protection_library", "builtin")
-    lib_path = lib_ref if lib_ref == "builtin" else str((path.parent / lib_ref).resolve())
+    # The config's composites join the library document, so it is parsed once.
+    lib_ref = doc.get("protection_library", BUILTIN)
+    lib_path = lib_ref if lib_ref == BUILTIN else str((path.parent / lib_ref).resolve())
+    extra = _section(doc, "composites", path)
     try:
-        library = load_library(lib_path)
+        lib_doc = read_library(lib_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: protection_library: {exc}") from None
-
-    extra = doc.get("composites", {})
-    if extra:
-        merged = library_to_jsonable(library)
-        for key, fractions in extra.items():
-            if key in merged["composites"]:
+    own = lib_doc.get("composites", {}) if isinstance(lib_doc, dict) else None
+    if extra and isinstance(own, dict):
+        for key in extra:
+            if key in own:
                 raise ConfigError(f"{path}: composites[{key!r}] already defined by the library")
-            merged["composites"][key] = fractions
-        try:
-            library = parse_library(merged, source=library.source)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: composites: {exc}") from None
+        lib_doc["composites"] = {**own, **extra}
+    try:
+        library = parse_library(lib_doc, source=lib_path)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: protection_library: {exc}") from None
 
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
-
-    sampler = _build(SamplerConfig, _section(doc, "sampler", path), f"{path}: sampler", seed=seed)
-    smoothing_raw = _section(doc, "smoothing", path)
-    if isinstance(smoothing_raw.get("continuation_schedule"), list):
-        smoothing_raw["continuation_schedule"] = tuple(
-            tuple(stage) for stage in smoothing_raw["continuation_schedule"]
-        )
-    smoothing = _build(SmoothingConfig, smoothing_raw, f"{path}: smoothing")
-    fit_cfg = _build(FitConfig, _section(doc, "fit", path), f"{path}: fit", seed=seed)
-
-    unc_raw = _section(doc, "uncertainty", path)
-    matrix_targets = unc_raw.pop("matrix_targets", None)
-    if matrix_targets is not None:
-        if not (isinstance(matrix_targets, list) and len(matrix_targets) == 2):
-            raise ConfigError(f"{path}: uncertainty.matrix_targets must be a pair of scheme names")
-        for name in matrix_targets:
+    sections = {name: _build(cls, _section(doc, name, path), f"{path}: {name}", seed)
+                for name, cls in _SECTIONS.items()}
+    for key in ("targets", "matrix_targets"):
+        for name in getattr(sections["uncertainty"], key) or ():
             if name not in library.schemes:
-                raise ConfigError(
-                    f"{path}: uncertainty.matrix_targets: unknown scheme {name!r}"
-                )
-        matrix_targets = tuple(matrix_targets)
-    for key in ("gamma_levels", "targets"):
-        if isinstance(unc_raw.get(key), list):
-            unc_raw[key] = tuple(unc_raw[key])
-    uncertainty = _build(UncertaintySpec, unc_raw, f"{path}: uncertainty", seed=seed)
-    for name in uncertainty.targets:
-        if name not in library.schemes:
-            raise ConfigError(f"{path}: uncertainty.targets: unknown scheme {name!r}")
+                raise ConfigError(f"{path}: uncertainty.{key}: unknown scheme {name!r}")
 
     out_dir = Path(out_override) if out_override is not None else Path(doc.get("output_dir", "out"))
-
-    cfg = ProjectConfig(
-        library=library,
-        library_source=str(lib_ref),
-        sampler=sampler,
-        smoothing=smoothing,
-        fit=fit_cfg,
-        uncertainty=uncertainty,
-        matrix_targets=matrix_targets,
-        output_dir=out_dir,
-        seed=seed,
-        echo={},
-    )
-    object.__setattr__(cfg, "echo", _materialize_echo(cfg))
-    return cfg
+    echo = {
+        "protection_library": lib_ref,
+        "output_dir": str(out_dir),
+        "seed": seed,
+        **{name: {k: v for k, v in dataclasses.asdict(section).items() if k != "seed"}
+           for name, section in sections.items()},
+        "composites": library.composites,
+    }
+    # Read back from JSON, as the copy stored in fit_*.json is, so tuples become lists.
+    return ProjectConfig(library, lib_ref, **sections, output_dir=out_dir, seed=seed,
+                         echo=json.loads(json.dumps(echo)))

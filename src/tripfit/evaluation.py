@@ -39,6 +39,7 @@ class UncertaintySpec:
     and reproduces the nominal composite exactly); targets names the schemes
     to perturb (empty tuple = all).  With refit=False the nominal fit is
     scored against each perturbed truth; refit=True refits per trial.
+    matrix_targets, when set, names the two schemes of the level-pair matrix.
     """
 
     gamma_levels: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
@@ -47,10 +48,18 @@ class UncertaintySpec:
     refit: bool = False
     seed: int = 0
     m_eval: int = 2000
+    matrix_targets: tuple[str, str] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "gamma_levels", tuple(float(g) for g in self.gamma_levels))
         object.__setattr__(self, "targets", tuple(self.targets))
+        if self.matrix_targets is not None:
+            if not (isinstance(self.matrix_targets, (list, tuple)) and len(self.matrix_targets) == 2):
+                raise ValueError("matrix_targets must be a pair of scheme names")
+            object.__setattr__(self, "matrix_targets", tuple(self.matrix_targets))
+        for name in self.targets + (self.matrix_targets or ()):
+            if not isinstance(name, str):
+                raise ValueError(f"scheme names must be strings, got {name!r}")
         for g in self.gamma_levels:
             if not (0.0 <= g < 1.0):
                 raise ValueError(f"gamma levels must lie in [0, 1), got {g}")
@@ -259,12 +268,13 @@ def uncertainty_matrix(
 ) -> MatrixReport:
     """Mean MAE grid when exactly two schemes carry independent uncertainty levels.
 
-    Cell (i, j) perturbs spec.targets[0] at level i and spec.targets[1] at
-    level j, all other fractions untouched (then renormalized).
+    Cell (i, j) perturbs spec.matrix_targets[0] at level i and
+    spec.matrix_targets[1] at level j, all other fractions untouched (then
+    renormalized).
     """
-    if len(spec.targets) != 2:
-        raise ValueError("matrix mode needs exactly two target schemes")
-    target_a, target_b = spec.targets
+    if spec.matrix_targets is None:
+        raise ValueError("matrix mode needs matrix_targets, a pair of scheme names")
+    target_a, target_b = spec.matrix_targets
     missing = {target_a, target_b} - set(c_nominal.names)
     if missing:
         raise ValueError(f"matrix targets not in composite: {sorted(missing)}")

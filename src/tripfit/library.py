@@ -89,11 +89,15 @@ def _parse_steps(raw, where: str) -> TripZone:
         raise ValueError(f"{where}: {exc}") from None
 
 
+def _object(raw, where: str) -> dict:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    return raw
+
+
 def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
     """Validate a decoded library document and resolve all schemes."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{source}: library document must be a JSON object")
-    units = doc.get("units")
+    units = _object(doc, f"{source}: library document").get("units")
     if units != EXPECTED_UNITS:
         raise ValueError(
             f"{source}: units must be exactly {EXPECTED_UNITS} (got {units!r}); "
@@ -101,14 +105,15 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
         )
 
     schemes: dict[str, ProtectionScheme] = {}
-    base = doc.get("base_schemes", {})
+    base = _object(doc.get("base_schemes", {}), f"{source}: base_schemes")
     if not base:
         raise ValueError(f"{source}: base_schemes must be non-empty")
     for name, entry in base.items():
-        zone = _parse_steps(entry.get("steps", []), f"{source}: base_schemes[{name!r}]")
+        where = f"{source}: base_schemes[{name!r}]"
+        zone = _parse_steps(_object(entry, where).get("steps", []), where)
         schemes[name] = ProtectionScheme(name, zone)
 
-    for name, members in doc.get("combinations", {}).items():
+    for name, members in _object(doc.get("combinations", {}), f"{source}: combinations").items():
         if name in schemes:
             raise ValueError(f"{source}: combination {name!r} clashes with a base scheme")
         try:
@@ -123,9 +128,8 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
         schemes[name] = combined
 
     motor_classes = tuple(doc.get("motor_classes", []))
-    table_raw = doc.get("fraction_table", {})
     fraction_table: dict[str, tuple[float, ...]] = {}
-    for name, row in table_raw.items():
+    for name, row in _object(doc.get("fraction_table", {}), f"{source}: fraction_table").items():
         if name not in schemes:
             raise ValueError(f"{source}: fraction_table row {name!r} is not a known scheme")
         if len(row) != len(motor_classes):
@@ -142,10 +146,10 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
             )
 
     composites: dict[str, dict[str, float]] = {}
-    for key, fractions in doc.get("composites", {}).items():
+    for key, fractions in _object(doc.get("composites", {}), f"{source}: composites").items():
         if key in motor_classes:
             raise ValueError(f"{source}: composite {key!r} clashes with a motor class")
-        for name in fractions:
+        for name in _object(fractions, f"{source}: composite {key!r}"):
             if name not in schemes:
                 raise ValueError(f"{source}: composite {key!r} references unknown scheme {name!r}")
         total = sum(float(x) for x in fractions.values())
@@ -156,38 +160,24 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
     return ProtectionLibrary(schemes, motor_classes, fraction_table, composites, source)
 
 
-def library_to_jsonable(lib: ProtectionLibrary) -> dict:
-    """Inverse of parse_library for round-tripping; combinations re-derived."""
-    base = {}
-    combos = {}
-    for name, scheme in lib.schemes.items():
-        if "-" in name:
-            combos[name] = name.split("-")
-        else:
-            base[name] = {"steps": [list(step) for step in scheme.zone.steps]}
-    return {
-        "units": dict(EXPECTED_UNITS),
-        "base_schemes": base,
-        "combinations": combos,
-        "motor_classes": list(lib.motor_classes),
-        "fraction_table": {name: list(row) for name, row in lib.fraction_table.items()},
-        "composites": {key: dict(val) for key, val in lib.composites.items()},
-    }
+def read_library(path: str | Path):
+    """The decoded JSON document of a library file, or of the bundled one for 'builtin'."""
+    path = Path(path)
+    if str(path) == BUILTIN:
+        text = resources.files("tripfit").joinpath("data/protection_library.json").read_text()
+    else:
+        text = path.read_text()
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
 def load_library(path: str | Path) -> ProtectionLibrary:
-    """Load a library from a JSON file, or the bundled one for 'builtin'."""
-    if str(path) == BUILTIN:
-        return default_library()
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return parse_library(doc, source=str(path))
+    """Load and validate a library file, or the bundled one for 'builtin'."""
+    return parse_library(read_library(path), source=str(Path(path)))
 
 
 def default_library() -> ProtectionLibrary:
     """The bundled illustrative library (example data, not field settings)."""
-    text = resources.files("tripfit").joinpath("data/protection_library.json").read_text()
-    return parse_library(json.loads(text), source=BUILTIN)
+    return load_library(BUILTIN)

@@ -405,8 +405,9 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
 
     model = SimplifiedModel.from_reduced(_LO + u[start_index] * _SPAN).canonical()
     alpha_final = stages[-1]
-    # Recompute at the canonical parameter layout so the stored cost matches
-    # cost(model, d) bit-for-bit.
+    # Recompute at the canonical parameter layout and the last stage's
+    # steepness: bit-for-bit cost(model, d, SmoothingConfig(*alpha_final,
+    # continuation_schedule=None)), not cost at s's base steepness.
     final_cost = _cost_reduced(model.as_reduced(), tau, v, y, *alpha_final)
     diagnostics = {
         "start_costs": start_costs.tolist(),

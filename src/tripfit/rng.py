@@ -19,7 +19,6 @@ STREAM_IDS = {
     "sweep": 4,
     "sweep_eval": 5,
     "matrix": 6,
-    "refit": 7,
 }
 
 

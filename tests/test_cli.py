@@ -38,7 +38,7 @@ def test_example_config_loads_with_defaults():
     assert cfg.seed == 20240501
     assert cfg.sampler.seed == cfg.seed and cfg.fit.seed == cfg.seed
     assert cfg.uncertainty.gamma_levels == (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-    assert cfg.matrix_targets == ("P2", "P1-P4-P5")
+    assert cfg.uncertainty.matrix_targets == ("P2", "P1-P4-P5")
     # Table-layout fixture: motor A row values as printed
     table = cfg.library.fraction_table
     assert table["P2-P4"][0] == 0.09
@@ -70,12 +70,51 @@ def test_config_unknown_fields(tmp_path):
     path2.write_text(json.dumps({"protection_library": "builtin", "bogus": 1}))
     with pytest.raises(ConfigError, match="bogus"):
         load_config(path2)
+    # Sections take the top-level seed; a seed of their own is not silently replaced.
+    for section in ("sampler", "smoothing", "fit", "uncertainty"):
+        path = _small_config(tmp_path, **{section: {"seed": 5}})
+        with pytest.raises(ConfigError, match=f"{section}: 'seed' is set at the top level only"):
+            load_config(path)
 
 
 def test_config_invalid_values(tmp_path):
     path = _small_config(tmp_path, fit={"n_starts": 0})
     with pytest.raises(ConfigError, match="fit"):
         load_config(path)
+    path = _small_config(tmp_path, seed=True)
+    with pytest.raises(ConfigError, match="seed must be an integer, got True"):
+        load_config(path)
+
+
+def test_example_config_echo_is_pinned(tmp_path):
+    # fit_*.json stores the echo, and the stale-input check compares it with the
+    # current one by ==, so a tuple where the JSON has a list would reject every fit.
+    expected = {
+        "protection_library": "builtin",
+        "output_dir": "out",
+        "seed": 20240501,
+        "sampler": {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5, "n_train": 200,
+                    "m_eval": 5000, "tau_range": [0.0, 5.0], "v_range": [0.0, 100.0]},
+        "smoothing": {"alpha_tau": 50.0, "alpha_v": 2.0,
+                      "continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
+        "fit": {"n_starts": 20, "max_iters": 400, "gtol": 1e-05, "ptol": 1e-12},
+        "uncertainty": {"gamma_levels": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
+                        "targets": [], "trials": 200, "refit": False, "m_eval": 2000,
+                        "matrix_targets": ["P2", "P1-P4-P5"]},
+        "composites": {"mixed_commercial": {"P1": 0.15, "P2": 0.3, "P3": 0.1, "P5": 0.15,
+                                            "P1-P4-P5": 0.3}},
+    }
+    echo = load_config(EXAMPLE_CONFIG).echo
+    assert echo == expected  # a tuple is never == a list
+    assert json.dumps(echo, sort_keys=True) == json.dumps(expected, sort_keys=True)  # nor 200.0 == 200 here
+
+    assert main(["fit", "--config", str(EXAMPLE_CONFIG), "--motor", "C",
+                 "--out", str(tmp_path)]) == 0
+    echo = load_config(EXAMPLE_CONFIG, out_override=tmp_path).echo
+    comments = [line for line in (tmp_path / "train_C.csv").read_text().splitlines()
+                if line.startswith("# config: ")]
+    assert comments == ["# config: " + json.dumps(echo, sort_keys=True)]
+    assert json.loads((tmp_path / "fit_C.json").read_text())["config"] == echo
 
 
 def test_config_bad_matrix_targets(tmp_path):
@@ -261,3 +300,31 @@ def test_cli_unknown_motor(tmp_path, capsys):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+_LIST_ENTRY_LIBRARY = {
+    "units": {"tau_break": "seconds", "v_threshold": "percent_of_nominal"},
+    "base_schemes": {"P1": [[0.1, 50.0]]},
+}
+
+
+@pytest.mark.parametrize("overrides, library, message", [
+    ({"composites": ["x"]}, None, "section 'composites' must be an object"),
+    ({"composites": "abc"}, None, "section 'composites' must be an object"),
+    ({"composites": {"demo": ["P1"]}}, None, "composite 'demo' must be a JSON object"),
+    ({}, _LIST_ENTRY_LIBRARY, "base_schemes['P1'] must be a JSON object"),
+    ({"uncertainty": {"matrix_targets": ["P2", ["x"]]}}, None,
+     "uncertainty: scheme names must be strings, got ['x']"),
+    ({"uncertainty": {"targets": ["P2", ["x"]]}}, None,
+     "uncertainty: scheme names must be strings, got ['x']"),
+    ({"protection_library": 5}, None, "protection_library must be a string"),
+    ({"output_dir": None}, None, "output_dir must be a string"),
+])
+def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
+    if library is not None:
+        (tmp_path / "lib.json").write_text(json.dumps(library))
+        overrides = {**overrides, "protection_library": "lib.json"}
+    path = _small_config(tmp_path, **overrides)
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

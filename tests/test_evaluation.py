@@ -241,7 +241,7 @@ def test_sweep_matches_rebuilt_composites(trials, targets):
 
 def test_matrix_matches_rebuilt_composites():
     comp = _five_scheme_composite()
-    spec = UncertaintySpec(gamma_levels=(0.0, 0.3, 0.7), targets=("S1", "S3"),
+    spec = UncertaintySpec(gamma_levels=(0.0, 0.3, 0.7), matrix_targets=("S1", "S3"),
                            trials=33, seed=17, m_eval=400)
     report = uncertainty_matrix(comp, TWO_BLOCK_TRUTH, spec)
     groups = (("S1",), ("S3",))
@@ -267,7 +267,8 @@ def test_uncertainty_spec_validation():
 def test_matrix_shape_and_nominal_corner(fitted_pair):
     comp, model = fitted_pair
     spec = UncertaintySpec(
-        gamma_levels=(0.0, 0.4, 0.8), targets=("Z1", "Z2"), trials=30, seed=13, m_eval=500
+        gamma_levels=(0.0, 0.4, 0.8), matrix_targets=("Z1", "Z2"), trials=30, seed=13,
+        m_eval=500
     )
     report = uncertainty_matrix(comp, model, spec)
     assert report.mean_mae.shape == (3, 3)
@@ -282,8 +283,13 @@ def test_matrix_shape_and_nominal_corner(fitted_pair):
 
 def test_matrix_requires_two_targets(fitted_pair):
     comp, model = fitted_pair
-    with pytest.raises(ValueError, match="two target"):
-        uncertainty_matrix(comp, model, UncertaintySpec(targets=("Z1",), trials=30))
+    with pytest.raises(ValueError, match="pair of scheme names"):
+        UncertaintySpec(matrix_targets=("Z1",), trials=30)
+    with pytest.raises(ValueError, match="strings"):
+        UncertaintySpec(matrix_targets=("Z1", ["Z2"]), trials=30)
+    # The sweep's targets are not the matrix's.
+    with pytest.raises(ValueError, match="needs matrix_targets"):
+        uncertainty_matrix(comp, model, UncertaintySpec(targets=("Z1", "Z2"), trials=30))
 
 
 # -------------------------------------------------------------------- CSV
@@ -304,7 +310,8 @@ def test_csv_writers(tmp_path, fitted_pair):
     assert summary_lines[0] == "level,mean,p12.5,p87.5"
     assert len(summary_lines) == 3
 
-    mspec = UncertaintySpec(gamma_levels=(0.0, 0.5), targets=("Z1", "Z2"), trials=30, seed=3, m_eval=300)
+    mspec = UncertaintySpec(gamma_levels=(0.0, 0.5), matrix_targets=("Z1", "Z2"), trials=30,
+                            seed=3, m_eval=300)
     mreport = uncertainty_matrix(comp, model, mspec)
     matrix_path = tmp_path / "matrix.csv"
     matrix_csv(mreport, matrix_path)

@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
-from tripfit import default_library, parse_library
-from tripfit.library import library_to_jsonable, load_library
+from tripfit import parse_library
+from tripfit.library import load_library
 
 
 def test_default_library_targets(library):
@@ -34,15 +32,6 @@ def test_combination_zones_are_unions(library):
         for m in members:
             member_any |= m.zone.contains(tau, v)
         assert np.array_equal(combo.zone.contains(tau, v), member_any)
-
-
-def test_round_trip_preserves_membership(library):
-    doc = library_to_jsonable(library)
-    again = parse_library(json.loads(json.dumps(doc)))
-    tau = np.linspace(0, 5, 201)[:, None]
-    v = np.linspace(0, 100, 201)[None, :]
-    for name, scheme in library.schemes.items():
-        assert np.array_equal(scheme.zone.contains(tau, v), again.scheme(name).zone.contains(tau, v))
 
 
 def _base_doc():
