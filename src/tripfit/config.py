@@ -142,6 +142,8 @@ def load_config(
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ConfigError(f"{path}: seed must be >= 0, got {seed}")
     sections = {name: _build(cls, _section(doc, name, path), f"{path}: {name}", seed)
                 for name, cls in _SECTIONS.items()}
     for key in ("targets", "matrix_targets"):

@@ -19,7 +19,7 @@ import numpy as np
 from .protection import CompositeProtection
 from .regression import FitConfig, SimplifiedModel, SmoothingConfig, fit, harden
 from .rng import rng_stream
-from .sampling import SamplerConfig, _write_csv, lhs_box, sample_training
+from .sampling import SamplerConfig, _require_ints, _write_csv, lhs_box, sample_training
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,7 @@ class UncertaintySpec:
     matrix_targets: tuple[str, str] | None = None
 
     def __post_init__(self):
+        _require_ints(self, "trials", "m_eval")
         object.__setattr__(self, "gamma_levels", tuple(float(g) for g in self.gamma_levels))
         object.__setattr__(self, "targets", tuple(self.targets))
         if self.matrix_targets is not None:

@@ -75,6 +75,12 @@ class ProtectionLibrary:
         return CompositeProtection(entries)
 
 
+def _number(raw, where: str) -> float:
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"{where} must be a number, got {raw!r}")
+    return float(raw)
+
+
 def _parse_steps(raw, where: str) -> TripZone:
     if not isinstance(raw, list):
         raise ValueError(f"{where}: steps must be a list of [tau_break, v_threshold] pairs")
@@ -82,7 +88,8 @@ def _parse_steps(raw, where: str) -> TripZone:
     for k, pair in enumerate(raw):
         if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
             raise ValueError(f"{where}: step {k} must be a [tau_break, v_threshold] pair")
-        steps.append((float(pair[0]), float(pair[1])))
+        steps.append((_number(pair[0], f"{where}: step {k} tau_break"),
+                      _number(pair[1], f"{where}: step {k} v_threshold")))
     try:
         return TripZone(tuple(steps))
     except ValueError as exc:
@@ -116,6 +123,9 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
     for name, members in _object(doc.get("combinations", {}), f"{source}: combinations").items():
         if name in schemes:
             raise ValueError(f"{source}: combination {name!r} clashes with a base scheme")
+        if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
+            raise ValueError(f"{source}: combination {name!r} must be a list of base scheme "
+                             f"names, got {members!r}")
         try:
             combined = combine_schemes([schemes[m] for m in members])
         except KeyError as exc:
@@ -127,17 +137,24 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
             )
         schemes[name] = combined
 
-    motor_classes = tuple(doc.get("motor_classes", []))
+    motor_classes = doc.get("motor_classes", [])
+    if not (isinstance(motor_classes, list) and all(isinstance(c, str) for c in motor_classes)):
+        raise ValueError(f"{source}: motor_classes must be a list of names, got {motor_classes!r}")
+    motor_classes = tuple(motor_classes)
     fraction_table: dict[str, tuple[float, ...]] = {}
     for name, row in _object(doc.get("fraction_table", {}), f"{source}: fraction_table").items():
         if name not in schemes:
             raise ValueError(f"{source}: fraction_table row {name!r} is not a known scheme")
+        if not isinstance(row, list):
+            raise ValueError(f"{source}: fraction_table[{name!r}] must be a list of fractions, "
+                             f"got {row!r}")
         if len(row) != len(motor_classes):
             raise ValueError(
                 f"{source}: fraction_table[{name!r}] must have one value per motor class "
                 f"({len(motor_classes)}), got {len(row)}"
             )
-        fraction_table[name] = tuple(float(x) for x in row)
+        fraction_table[name] = tuple(_number(x, f"{source}: fraction_table[{name!r}]")
+                                     for x in row)
     for col, motor in enumerate(motor_classes):
         total = sum(row[col] for row in fraction_table.values())
         if abs(total - 1.0) > FRACTION_SUM_TOL:
@@ -152,10 +169,12 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
         for name in _object(fractions, f"{source}: composite {key!r}"):
             if name not in schemes:
                 raise ValueError(f"{source}: composite {key!r} references unknown scheme {name!r}")
-        total = sum(float(x) for x in fractions.values())
+        values = {name: _number(x, f"{source}: composite {key!r}[{name!r}]")
+                  for name, x in fractions.items()}
+        total = sum(values.values())
         if abs(total - 1.0) > FRACTION_SUM_TOL:
             raise ValueError(f"{source}: composite {key!r} fractions sum to {total!r}, expected 1.0")
-        composites[key] = {name: float(x) for name, x in fractions.items()}
+        composites[key] = values
 
     return ProtectionLibrary(schemes, motor_classes, fraction_table, composites, source)
 

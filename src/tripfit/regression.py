@@ -16,10 +16,16 @@ the smoothing is a fitting device only.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+import scipy
 # fit no longer calls minimize; the name stays bound because bench/tracing.py
 # patches tripfit.regression.minimize when it installs its spans.
 from scipy.optimize import minimize  # noqa: F401
@@ -30,7 +36,7 @@ from scipy.optimize._lbfgsb import setulb as _setulb
 
 from .protection import TAU_MAX, V_MAX, CompositeProtection, ProtectionScheme, TripZone
 from .rng import rng_stream
-from .sampling import Dataset, lhs_unit
+from .sampling import Dataset, _require_ints, lhs_unit
 
 # Reduced parameter vector: (pi1, tau1_star, v1_star, tau2_star, v2_star),
 # with pi2 eliminated as 1 - pi1.
@@ -137,6 +143,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self, "n_starts", "max_iters")
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
         if self.max_iters < 1:
@@ -183,17 +190,20 @@ def model_from_jsonable(doc: dict) -> SimplifiedModel:
     )
 
 
-def _sigmoid_pair(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both logistic tails (sigma(z), sigma(-z)) from one exp(-|z|).
+def _sigmoid_pair(x, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Both logistic tails (sigma(z), sigma(-z)) of z = alpha x, from one exp(-|z|).
 
     Each tail is evaluated directly as 1/(1+e) or e/(1+e), never as 1 - sigma,
     so a tail keeps full relative precision down to the underflow threshold.
+    With alpha > 0, alpha |x| rounds to exactly |alpha x|, and the tail order
+    is taken from the sign of x: where alpha x underflows to -0 both tails
+    are exactly 1/2, so the order does not matter there.
     """
-    e = np.exp(-np.abs(z))
+    e = np.exp(np.abs(x) * -alpha)
     d = 1.0 + e
     near_one = 1.0 / d
     near_zero = e / d
-    pos = z >= 0.0
+    pos = x >= 0.0
     return np.where(pos, near_one, near_zero), np.where(pos, near_zero, near_one)
 
 
@@ -201,7 +211,7 @@ def logistic(x, alpha: float):
     """Logistic step surrogate 1 / (1 + exp(-alpha x)), stable for huge |alpha x|."""
     if alpha <= 0.0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
-    out = _sigmoid_pair(alpha * np.asarray(x, dtype=float))[0]
+    out = _sigmoid_pair(np.asarray(x, dtype=float), alpha)[0]
     return out if out.ndim else float(out)
 
 
@@ -215,8 +225,8 @@ def _block_parts(tau, v, tau_star, v_star, alpha_tau, alpha_v):
     smooth_model and the fitting cost see bit-identical blocks; with column
     vectors of thresholds, each row of the result is one block.
     """
-    st, st_c = _sigmoid_pair(alpha_tau * (tau - tau_star))
-    sv, sv_c = _sigmoid_pair(alpha_v * (v - v_star))
+    st, st_c = _sigmoid_pair(tau - tau_star, alpha_tau)
+    sv, sv_c = _sigmoid_pair(v - v_star, alpha_v)
     return st_c + st * sv, st, st_c, sv, sv_c
 
 
@@ -310,6 +320,50 @@ _LBFGSB_MAXFUN = 15000
 _TASK_FG, _TASK_NEW_X, _TASK_STOP = 3, 1, 5
 
 
+@functools.cache
+def _scipy_openblas():
+    """The thread-count get and set functions of scipy's bundled OpenBLAS, or None.
+
+    scipy's wheels link L-BFGS-B's setulb against their own OpenBLAS in
+    scipy.libs, a different library from numpy's.  Only a copy that is already
+    loaded (by the setulb import above) is used; any other scipy build gives
+    None.
+    """
+    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob(
+            "libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with scipy's OpenBLAS on one thread, then restore its count.
+
+    setulb's BLAS calls work on vectors of 5 parameters; a second OpenBLAS
+    thread only spins, doubling the CPU of a fit.  numpy's BLAS is left alone.
+    The count is process-wide, so fits in concurrent threads would restore
+    each other's counts.
+    """
+    blas = _scipy_openblas()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray, list[int]]:
     """Bounded L-BFGS-B on the unit box from every row of x0, all rows in lockstep.
 
@@ -326,23 +380,24 @@ def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray
     m = _LBFGSB_M
     lo, hi, nbd = np.zeros(n), np.ones(n), np.full(n, 2, dtype=np.int32)
     factr, pgtol = f.ptol / np.finfo(float).eps, f.gtol
-    x = [row.copy() for row in x0]
-    fx = [0.0] * n_rows
-    gx = [np.zeros(n) for _ in range(n_rows)]
-    work = [(np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(3 * n, np.int32),
-             np.zeros(2, np.int32), np.zeros(4, np.int32), np.zeros(44, np.int32),
-             np.zeros(29), np.zeros(2, np.int32)) for _ in range(n_rows)]
-    seen_x = [row.copy() for row in x0]
+    # One row per solve; setulb writes x and its work arrays in place through row views.
+    x, gx, fx = x0.copy(), np.zeros((n_rows, n)), np.zeros(n_rows)
+    work = list(zip(x, gx,
+                    np.zeros((n_rows, 2 * m * n + 5 * n + 11 * m * m + 8 * m)),
+                    np.zeros((n_rows, 3 * n), np.int32), np.zeros((n_rows, 2), np.int32),
+                    np.zeros((n_rows, 4), np.int32), np.zeros((n_rows, 44), np.int32),
+                    np.zeros((n_rows, 29)), np.zeros((n_rows, 2), np.int32)))
+    seen_x = x0.copy()
     seen_f, seen_g = fun_grad(x0)
-    nfev = [1] * n_rows
+    nfev = np.ones(n_rows, dtype=int)
     iters = [0] * n_rows
     active = range(n_rows)
     while active:
         asking = []
         for k in active:
-            wa, iwa, task, lsave, isave, dsave, ln_task = work[k]
+            xk, gk, wa, iwa, task, lsave, isave, dsave, ln_task = work[k]
             while True:
-                _setulb(m, x[k], lo, hi, nbd, fx[k], gx[k], factr, pgtol, wa, iwa, task,
+                _setulb(m, xk, lo, hi, nbd, fx[k], gk, factr, pgtol, wa, iwa, task,
                         lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
                 if task[0] == _TASK_FG:
                     asking.append(k)
@@ -354,17 +409,15 @@ def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray
                     task[:] = _TASK_STOP, 504
                 elif nfev[k] > _LBFGSB_MAXFUN:
                     task[:] = _TASK_STOP, 502
-        fresh = [k for k in asking if not (x[k] == seen_x[k]).all()]
-        if fresh:
-            new_f, new_g = fun_grad(np.array([x[k] for k in fresh]))
-            for i, k in enumerate(fresh):
-                seen_x[k] = x[k].copy()
-                seen_f[k], seen_g[k] = new_f[i], new_g[i]
-                nfev[k] += 1
-        for k in asking:
-            fx[k], gx[k] = seen_f[k], seen_g[k].copy()
-        active = asking
-    return np.array(x), iters
+        asking = np.array(asking, dtype=np.intp)
+        fresh = asking[(x[asking] != seen_x[asking]).any(axis=1)]
+        if fresh.size:
+            seen_x[fresh] = x[fresh]
+            seen_f[fresh], seen_g[fresh] = fun_grad(seen_x[fresh])
+            nfev[fresh] += 1
+        fx[asking], gx[asking] = seen_f[asking], seen_g[asking]
+        active = asking.tolist()
+    return x, iters
 
 
 def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
@@ -390,14 +443,15 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
     starts = lhs_unit(rng_stream(f.seed, "multistart"), f.n_starts, 5)
     u = starts
     iters = np.zeros(f.n_starts, dtype=int)
-    for si, stage in enumerate(stages):
-        if si == len(stages) - 1 and si > 0:
-            # Where continuation hurt at the final steepness, restart clean.
-            both = fun_grad(np.concatenate([starts, u]), *stage)[0]
-            u = np.where((both[:f.n_starts] < both[f.n_starts:])[:, None], starts, u)
-        x, nit = _lbfgsb_lockstep(lambda w: fun_grad(w, *stage), u, f)
-        u = np.clip(x, 0.0, 1.0)
-        iters += nit
+    with _one_blas_thread():
+        for si, stage in enumerate(stages):
+            if si == len(stages) - 1 and si > 0:
+                # Where continuation hurt at the final steepness, restart clean.
+                both = fun_grad(np.concatenate([starts, u]), *stage)[0]
+                u = np.where((both[:f.n_starts] < both[f.n_starts:])[:, None], starts, u)
+            x, nit = _lbfgsb_lockstep(lambda w: fun_grad(w, *stage), u, f)
+            u = np.clip(x, 0.0, 1.0)
+            iters += nit
     start_costs, g = fun_grad(u, *stages[-1])
     pg_norm = np.abs(u - np.clip(u - g, 0.0, 1.0)).max(axis=1)
     start_conv = pg_norm <= f.gtol

@@ -11,6 +11,7 @@ from Latin hypercube samples on a stream disjoint from training.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +27,14 @@ V_KNEE = 50.0
 
 class SamplingError(RuntimeError):
     """Raised when the accepted sampling region is (near) empty."""
+
+
+def _require_ints(obj, *names: str) -> None:
+    """Raise TypeError unless each named field of obj is an integer (a bool is not)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _require_ints(self, "n_train", "m_eval")
         if self.beta_tau <= 0.0 or self.beta_v <= 0.0:
             raise ValueError("beta_tau and beta_v must be > 0")
         if not (0.0 <= self.weight_threshold < 1.0):

@@ -77,12 +77,33 @@ def test_config_unknown_fields(tmp_path):
             load_config(path)
 
 
-def test_config_invalid_values(tmp_path):
+def test_config_invalid_values(tmp_path, capsys):
     path = _small_config(tmp_path, fit={"n_starts": 0})
     with pytest.raises(ConfigError, match="fit"):
         load_config(path)
     path = _small_config(tmp_path, seed=True)
     with pytest.raises(ConfigError, match="seed must be an integer, got True"):
+        load_config(path)
+    # A negative seed would crash np.random.SeedSequence in the first stochastic verb.
+    path = _small_config(tmp_path, seed=-1)
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        load_config(path)
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 2
+    assert main(["fit", "--config", str(_small_config(tmp_path)), "--seed", "-3",
+                 "--motor", "C"]) == 2
+    assert "seed must be >= 0, got -3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, name", [
+    ("fit", "n_starts"), ("fit", "max_iters"), ("sampler", "n_train"), ("sampler", "m_eval"),
+    ("uncertainty", "trials"), ("uncertainty", "m_eval"),
+])
+@pytest.mark.parametrize("value", [2.5, 600.0, True, "60"])
+def test_config_rejects_non_integer_counts(tmp_path, section, name, value):
+    doc = json.loads(_small_config(tmp_path).read_text())
+    doc[section][name] = value
+    path = _small_config(tmp_path, **{section: doc[section]})
+    with pytest.raises(ConfigError, match=f"{section}: {name} must be an integer, got {value!r}"):
         load_config(path)
 
 
@@ -307,6 +328,12 @@ _LIST_ENTRY_LIBRARY = {
     "base_schemes": {"P1": [[0.1, 50.0]]},
 }
 
+_TYPED_LIBRARY = {
+    "units": {"tau_break": "seconds", "v_threshold": "percent_of_nominal"},
+    "base_schemes": {"P1": {"steps": [[0.1, 50.0]]}, "P2": {"steps": [[0.2, 60.0]]}},
+    "motor_classes": ["A"],
+}
+
 
 @pytest.mark.parametrize("overrides, library, message", [
     ({"composites": ["x"]}, None, "section 'composites' must be an object"),
@@ -318,6 +345,10 @@ _LIST_ENTRY_LIBRARY = {
     ({"uncertainty": {"targets": ["P2", ["x"]]}}, None,
      "uncertainty: scheme names must be strings, got ['x']"),
     ({"protection_library": 5}, None, "protection_library must be a string"),
+    ({}, {**_TYPED_LIBRARY, "fraction_table": {"P1": 1.0}},
+     "fraction_table['P1'] must be a list of fractions, got 1.0"),
+    ({}, {**_TYPED_LIBRARY, "combinations": {"P1-P2": 5}},
+     "combination 'P1-P2' must be a list of base scheme names, got 5"),
     ({"output_dir": None}, None, "output_dir must be a string"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):

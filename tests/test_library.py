@@ -90,6 +90,29 @@ def test_parse_rejects_bad_composite_sum():
         parse_library(doc)
 
 
+@pytest.mark.parametrize("section, key, value, message", [
+    ("fraction_table", "P1", 1.0, "fraction_table['P1'] must be a list of fractions, got 1.0"),
+    ("fraction_table", "P1", [None], "fraction_table['P1'] must be a number, got None"),
+    ("combinations", "P1-P2", 5, "combination 'P1-P2' must be a list of base scheme names"),
+    ("combinations", "P1-P2", [["P1"], "P2"], "combination 'P1-P2' must be a list"),
+    ("base_schemes", "P2", {"steps": [[None, 60.0]]}, "step 0 tau_break must be a number"),
+    ("composites", "demo", {"P1": None}, "composite 'demo'['P1'] must be a number, got None"),
+])
+def test_parse_rejects_mistyped_values(section, key, value, message):
+    doc = _base_doc()
+    doc[section][key] = value
+    with pytest.raises(ValueError) as info:
+        parse_library(doc)
+    assert message in str(info.value)
+
+
+def test_parse_rejects_mistyped_motor_classes():
+    doc = _base_doc()
+    doc["motor_classes"] = 5
+    with pytest.raises(ValueError, match="motor_classes must be a list of names, got 5"):
+        parse_library(doc)
+
+
 def test_load_library_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"units": }')

@@ -3,7 +3,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from helpers import random_composite
 from tripfit import (
@@ -26,6 +26,7 @@ from tripfit import (
     smooth_block,
     smooth_model,
 )
+from tripfit import regression
 from tripfit.protection import TAU_MAX, V_MAX
 from tripfit.sampling import Dataset
 
@@ -370,6 +371,56 @@ def test_stacked_kernel_bit_equal_to_per_block():
                     assert np.array_equal(grads[i], refs[row][1]), (n, rows, i, at, av)
 
 
+def _alpha_first_sigmoid_pair(z):
+    """The kernel's tails as formed from z = alpha x before exp(-|z|) replaced alpha |x|."""
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    near_one = 1.0 / d
+    near_zero = e / d
+    pos = z >= 0.0
+    return np.where(pos, near_one, near_zero), np.where(pos, near_zero, near_one)
+
+
+def _alpha_first_block_parts(tau, v, tau_star, v_star, alpha_tau, alpha_v):
+    st_, st_c = _alpha_first_sigmoid_pair(alpha_tau * (tau - tau_star))
+    sv, sv_c = _alpha_first_sigmoid_pair(alpha_v * (v - v_star))
+    return st_c + st_ * sv, st_, st_c, sv, sv_c
+
+
+# Signed zeros, subnormals whose product with a small alpha underflows to -0,
+# and offsets whose alpha |x| is far past exp's underflow at 745.
+_EDGE_COORDS = [0.0, -0.0, 5e-324, -5e-324, -1e-323, -2.2e-308, 2.2e-308, -1e-300, 5.0, 100.0]
+_ALPHAS = [0.1, 0.3, 0.4, 2.0, 10.0, 50.0, 250.0, 1e4]
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.tuples(st.sampled_from(_EDGE_COORDS) | st.floats(-200.0, 200.0),
+                       st.sampled_from(_EDGE_COORDS) | st.floats(-200.0, 200.0)),
+             min_size=1, max_size=8),
+    st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(-5.0, 105.0),
+    st.sampled_from([0.0, -0.0, 5e-324]) | st.floats(-5.0, 105.0),
+    st.sampled_from(_ALPHAS) | st.floats(1e-3, 1e5),
+    st.sampled_from(_ALPHAS) | st.floats(1e-3, 1e5),
+)
+@example([(-5e-324, -5e-324), (-0.0, 0.0), (5.0, 100.0)], 0.0, 0.0, 0.3, 0.1)
+@example([(0.5, 50.0)], 0.5, 50.0, 250.0, 10.0)
+def test_block_parts_bit_equal_to_alpha_first_form(points, tau_star, v_star, alpha_tau, alpha_v):
+    from tripfit.regression import _block_parts
+
+    tau = np.array([p[0] for p in points])
+    v = np.array([p[1] for p in points])
+    args = (tau_star, v_star, alpha_tau, alpha_v)
+    cases = [((tau, v), _block_parts(tau, v, *args), _alpha_first_block_parts(tau, v, *args))]
+    scalars = (points[0][0], points[0][1])  # Python floats, as smooth_block on floats passes
+    cases.append((scalars, _block_parts(*scalars, *args), _alpha_first_block_parts(*scalars, *args)))
+    for inputs, got, want in cases:
+        for a, b in zip(got, want):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), (inputs, args, a, b)
+
+
 def _per_block_rows(theta, tau, v, y, alpha_tau, alpha_v):
     """The per-block reference over a (5,) vector or an (S, 5) stack, row by row."""
     rows = [_per_block_cost_grad(t, tau, v, y, alpha_tau, alpha_v) for t in np.atleast_2d(theta)]
@@ -470,6 +521,58 @@ def test_fit_matches_per_start_minimize():
         d = sample_training(comp, sampler)
         expected = _per_start_minimize_fit(d, smoothing, fit_cfg).to_jsonable()
         assert fit(d, smoothing, fit_cfg).to_jsonable() == expected, name
+
+
+needs_scipy_blas = pytest.mark.skipif(regression._scipy_openblas() is None,
+                                      reason="scipy's bundled OpenBLAS not found")
+
+
+def _spy_lockstep(monkeypatch, seen, fail=False):
+    """Record scipy's BLAS thread count each time fit enters the lockstep solver."""
+    get = regression._scipy_openblas()[0]
+    lockstep = regression._lbfgsb_lockstep
+
+    def spy(*args):
+        seen.append(get())
+        if fail:
+            raise RuntimeError("lockstep failed")
+        return lockstep(*args)
+
+    monkeypatch.setattr(regression, "_lbfgsb_lockstep", spy)
+
+
+@needs_scipy_blas
+def test_fit_runs_lbfgsb_on_one_blas_thread(monkeypatch):
+    get, set_ = regression._scipy_openblas()
+    d = _dataset_from_hard(RECOVERY_TRUTH, n=100, seed=41)
+    f = FitConfig(n_starts=3, seed=41)
+    before = get()
+    try:
+        set_(2)
+        outer = get()  # 1 on an OpenBLAS built single-threaded
+        seen = []
+        _spy_lockstep(monkeypatch, seen)
+        fit(d, SmoothingConfig(), f)
+        assert seen == [1, 1, 1] and get() == outer
+        _spy_lockstep(monkeypatch, seen, fail=True)
+        with pytest.raises(RuntimeError, match="lockstep failed"):
+            fit(d, SmoothingConfig(), f)
+        assert seen[-1] == 1 and get() == outer
+    finally:
+        set_(before)
+
+
+@needs_scipy_blas
+def test_fit_unchanged_when_scipy_blas_not_found(monkeypatch):
+    d = _dataset_from_hard(RECOVERY_TRUTH, n=150, seed=42)
+    f = FitConfig(n_starts=5, seed=42)
+    scoped = fit(d, SmoothingConfig(), f).to_jsonable()
+    threads = regression._scipy_openblas()[0]()
+    seen = []
+    _spy_lockstep(monkeypatch, seen)
+    monkeypatch.setattr(regression, "_scipy_openblas", lambda: None)
+    assert fit(d, SmoothingConfig(), f).to_jsonable() == scoped
+    assert seen == [threads] * len(SmoothingConfig().stages())
 
 
 # ------------------------------------------------------------------- fit
