@@ -345,11 +345,11 @@ _TYPED_LIBRARY = {
     ({"uncertainty": {"targets": ["P2", ["x"]]}}, None,
      "uncertainty: scheme names must be strings, got ['x']"),
     ({"protection_library": 5}, None, "protection_library must be a string"),
+    ({"output_dir": None}, None, "output_dir must be a string"),
     ({}, {**_TYPED_LIBRARY, "fraction_table": {"P1": 1.0}},
      "fraction_table['P1'] must be a list of fractions, got 1.0"),
     ({}, {**_TYPED_LIBRARY, "combinations": {"P1-P2": 5}},
      "combination 'P1-P2' must be a list of base scheme names, got 5"),
-    ({"output_dir": None}, None, "output_dir must be a string"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
     if library is not None:
