@@ -14,7 +14,7 @@ from .protection import (
     grid_evaluate,
     series_combine,
 )
-from .library import ProtectionLibrary, default_library, load_library, parse_library
+from .library import ProtectionLibrary, default_library, parse_library
 from .sampling import (
     Dataset,
     SamplerConfig,
@@ -30,13 +30,10 @@ from .regression import (
     SmoothingConfig,
     brute_force_fit,
     cost,
-    cost_gradient,
     fit,
     hard_mse,
     hard_values,
     harden,
-    logistic,
-    smooth_block,
     smooth_model,
 )
 from .evaluation import (

@@ -4,7 +4,7 @@ Each verb reads one JSON project config and writes its artifacts (CSV and
 JSON, plot-ready) under the configured output directory.  Every output file
 embeds the materialized config and seed, so reruns at a fixed seed reproduce
 files byte for byte.  Exit codes: 0 success, 1 fit did not converge,
-2 configuration or usage error.
+2 configuration, input or usage error.
 """
 
 from __future__ import annotations
@@ -27,19 +27,15 @@ from .evaluation import (
 )
 from .protection import TAU_MAX, V_MAX, grid_evaluate
 from .regression import fit, harden, model_from_jsonable
-from .sampling import _write_csv, sample_training
+from .sampling import SamplingError, _write_csv, sample_training
 
 DEFAULT_GRID_RESOLUTION = 101
-
-
-def _echo_json(cfg: ProjectConfig) -> str:
-    return json.dumps(cfg.echo, sort_keys=True)
 
 
 def _comment_lines(cfg: ProjectConfig, **extra) -> list[str]:
     lines = [f"{key}: {value}" for key, value in extra.items()]
     lines.append(f"seed: {cfg.seed}")
-    lines.append(f"config: {_echo_json(cfg)}")
+    lines.append(f"config: {json.dumps(cfg.echo, sort_keys=True)}")
     return lines
 
 
@@ -56,28 +52,36 @@ _FIT_INPUTS = ("seed", "protection_library", "sampler", "smoothing", "fit", "com
 
 
 def _load_fitted_model(cfg: ProjectConfig, target: str):
-    """The model of fit_<target>.json, refused if it was fitted under other inputs."""
+    """The model of fit_<target>.json, refused if malformed or fitted under other inputs."""
     path = _fit_result_path(cfg, target)
     if not path.is_file():
         raise ConfigError(f"no fit result at {path}; run `tripfit fit --motor {target}` first")
-    doc = json.loads(path.read_text())
-    stored = doc.get("config", {})
+    rerun = f"rerun `tripfit fit --motor {target}` with this config"
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ConfigError(f"{path} is not valid JSON ({exc}); {rerun}") from None
+    stored = doc.get("config") if isinstance(doc, dict) else None
+    if not isinstance(stored, dict):
+        raise ConfigError(f"{path} is not a fit result with a config object; {rerun}")
     for key in _FIT_INPUTS:
         old, new = stored.get(key), cfg.echo[key]
         if old == new:
             continue
         if isinstance(old, dict) and isinstance(new, dict):
             key += "." + min(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
-        raise ConfigError(f"{path} was fitted under a different {key}; "
-                          f"rerun `tripfit fit --motor {target}` with this config")
-    return model_from_jsonable(doc["model"])
+        raise ConfigError(f"{path} was fitted under a different {key}; {rerun}")
+    try:
+        return model_from_jsonable(doc["model"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} holds no valid model ({exc!r}); {rerun}") from None
 
 
 def cmd_validate(cfg: ProjectConfig) -> int:
-    print(f"protection library: {cfg.library_source} "
+    print(f"protection library: {cfg.echo['protection_library']} "
           f"({len(cfg.library.schemes)} schemes)")
-    print(f"targets: {', '.join(cfg.targets())}")
-    for target in cfg.targets():
+    print(f"targets: {', '.join(cfg.library.targets())}")
+    for target in cfg.library.targets():
         comp = cfg.composite_for(target)
         pairs = ", ".join(f"{name}={pi:g}" for name, pi in zip(comp.names, comp.fractions))
         print(f"  {target}: {pairs}")
@@ -159,8 +163,11 @@ def cmd_mae(cfg: ProjectConfig, target: str) -> int:
 
 def cmd_sweep(cfg: ProjectConfig, target: str) -> int:
     comp = cfg.composite_for(target)
-    model = _load_fitted_model(cfg, target)
     spec = cfg.uncertainty
+    missing = [name for name in spec.targets if name not in comp.names]
+    if missing:
+        raise ConfigError(f"uncertainty.targets {missing} not in composite {target}")
+    model = _load_fitted_model(cfg, target)
     report = uncertainty_sweep(comp, model, spec,
                                sampler=cfg.sampler, smoothing=cfg.smoothing,
                                fit_config=cfg.fit)
@@ -232,7 +239,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.motor)
         raise AssertionError(f"unhandled command {args.command}")
-    except ConfigError as exc:
+    except (ConfigError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -77,7 +77,6 @@ def _build(cls, raw: dict, where: str, seed: int):
 @dataclass(frozen=True)
 class ProjectConfig:
     library: ProtectionLibrary
-    library_source: str
     sampler: SamplerConfig
     smoothing: SmoothingConfig
     fit: FitConfig
@@ -85,9 +84,6 @@ class ProjectConfig:
     output_dir: Path
     seed: int
     echo: dict
-
-    def targets(self) -> tuple[str, ...]:
-        return self.library.targets()
 
     def composite_for(self, key: str):
         try:
@@ -161,5 +157,5 @@ def load_config(
         "composites": library.composites,
     }
     # Read back from JSON, as the copy stored in fit_*.json is, so tuples become lists.
-    return ProjectConfig(library, lib_ref, **sections, output_dir=out_dir, seed=seed,
+    return ProjectConfig(library, **sections, output_dir=out_dir, seed=seed,
                          echo=json.loads(json.dumps(echo)))

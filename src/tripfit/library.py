@@ -192,11 +192,6 @@ def read_library(path: str | Path):
         raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
-def load_library(path: str | Path) -> ProtectionLibrary:
-    """Load and validate a library file, or the bundled one for 'builtin'."""
-    return parse_library(read_library(path), source=str(Path(path)))
-
-
 def default_library() -> ProtectionLibrary:
     """The bundled illustrative library (example data, not field settings)."""
-    return load_library(BUILTIN)
+    return parse_library(read_library(BUILTIN), BUILTIN)

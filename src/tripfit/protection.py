@@ -133,14 +133,29 @@ class CompositeProtection:
     def fraction_sum(self) -> float:
         return float(sum(pi for _, pi in self.entries))
 
+    def connectivity(self, tau, v) -> np.ndarray:
+        """(schemes, points) matrix of each entry's 0/1 connectivity at 1-D points."""
+        return np.array([scheme.f(tau, v) for scheme, _ in self.entries], dtype=float)
+
     def evaluate(self, tau, v):
         """Connected load fraction at (tau, v); broadcasts over array inputs."""
-        tau = np.asarray(tau, dtype=float)
-        v = np.asarray(v, dtype=float)
-        total = np.zeros(np.broadcast(tau, v).shape)
-        for scheme, pi in self.entries:
-            total += pi * (1.0 - scheme.zone.contains(tau, v))
+        tau, v = np.broadcast_arrays(np.asarray(tau, dtype=float), np.asarray(v, dtype=float))
+        conn = self.connectivity(tau.ravel(), v.ravel())
+        total = accumulate(self.fractions[None, :], conn)[0].reshape(tau.shape)
         return total if total.ndim else float(total)
+
+
+def accumulate(fractions: np.ndarray, conn: np.ndarray) -> np.ndarray:
+    """Composite values fractions @ conn, one row per fraction row.
+
+    fractions is (R, k), conn the (k, M) 0/1 connectivity of the k schemes at
+    M points.  Each row is summed over schemes in entry order from zeros, so
+    it is bit-equal to that composite's `evaluate` at the same points.
+    """
+    total = np.zeros((fractions.shape[0], conn.shape[1]))
+    for k in range(conn.shape[0]):
+        total += fractions[:, k, None] * conn[k]
+    return total
 
 
 def series_combine(zones: Iterable[TripZone]) -> TripZone:

@@ -34,7 +34,8 @@ from scipy.optimize import minimize  # noqa: F401
 # pins fit to the public scipy.optimize.minimize loop it mirrors.
 from scipy.optimize._lbfgsb import setulb as _setulb
 
-from .protection import TAU_MAX, V_MAX, CompositeProtection, ProtectionScheme, TripZone
+from .protection import (FRACTION_SUM_TOL, TAU_MAX, V_MAX, CompositeProtection,
+                         ProtectionScheme, TripZone)
 from .rng import rng_stream
 from .sampling import Dataset, _require_ints, lhs_unit
 
@@ -43,8 +44,6 @@ from .sampling import Dataset, _require_ints, lhs_unit
 _LO = np.array([0.0, 0.0, 0.0, 0.0, 0.0])
 _HI = np.array([1.0, TAU_MAX, V_MAX, TAU_MAX, V_MAX])
 _SPAN = _HI - _LO
-
-PI_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ class SimplifiedModel:
     def __post_init__(self):
         if not (0.0 <= self.pi1 <= 1.0 and 0.0 <= self.pi2 <= 1.0):
             raise ValueError(f"fractions must lie in [0, 1], got {self.pi1}, {self.pi2}")
-        if abs(self.pi1 + self.pi2 - 1.0) > PI_SUM_TOL:
+        if abs(self.pi1 + self.pi2 - 1.0) > FRACTION_SUM_TOL:
             raise ValueError(f"pi1 + pi2 must equal 1, got {self.pi1 + self.pi2!r}")
         for tau in (self.tau1_star, self.tau2_star):
             if not (0.0 <= tau <= TAU_MAX):
@@ -207,14 +206,6 @@ def _sigmoid_pair(x, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return np.where(pos, near_one, near_zero), np.where(pos, near_zero, near_one)
 
 
-def logistic(x, alpha: float):
-    """Logistic step surrogate 1 / (1 + exp(-alpha x)), stable for huge |alpha x|."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    out = _sigmoid_pair(np.asarray(x, dtype=float), alpha)[0]
-    return out if out.ndim else float(out)
-
-
 def _block_parts(tau, v, tau_star, v_star, alpha_tau, alpha_v):
     """Smoothed block sigma(-zt) + sigma(zt) sigma(zv) and the tails it is built from.
 
@@ -230,23 +221,14 @@ def _block_parts(tau, v, tau_star, v_star, alpha_tau, alpha_v):
     return st_c + st * sv, st, st_c, sv, sv_c
 
 
-def smooth_block(tau_f, v_f, tau_star: float, v_star: float, s: SmoothingConfig):
-    """Smoothed single-block connectivity h(tau* - tau) + h(tau - tau*) h(v - v*).
-
-    Algebraically 1 - h(tau - tau*) (1 - h(v - v*)) with h the logistic step;
-    evaluated in the sum form, which does not cancel in the trip corner.
-    """
+def smooth_model(tau_f, v_f, m: SimplifiedModel, s: SmoothingConfig):
+    """Smoothed two-block model value pi1 B1 + pi2 B2 at s's base steepness."""
     tau_f = np.asarray(tau_f, dtype=float)
     v_f = np.asarray(v_f, dtype=float)
-    out = _block_parts(tau_f, v_f, tau_star, v_star, s.alpha_tau, s.alpha_v)[0]
+    b1 = _block_parts(tau_f, v_f, m.tau1_star, m.v1_star, s.alpha_tau, s.alpha_v)[0]
+    b2 = _block_parts(tau_f, v_f, m.tau2_star, m.v2_star, s.alpha_tau, s.alpha_v)[0]
+    out = m.pi1 * b1 + m.pi2 * b2
     return out if out.ndim else float(out)
-
-
-def smooth_model(tau_f, v_f, m: SimplifiedModel, s: SmoothingConfig):
-    """Smoothed two-block model value pi1 B1 + pi2 B2."""
-    b1 = smooth_block(tau_f, v_f, m.tau1_star, m.v1_star, s)
-    b2 = smooth_block(tau_f, v_f, m.tau2_star, m.v2_star, s)
-    return m.pi1 * b1 + m.pi2 * b2
 
 
 def hard_values(m: SimplifiedModel, tau_f, v_f):
@@ -304,13 +286,6 @@ def cost(m: SimplifiedModel, d: Dataset, s: SmoothingConfig) -> float:
     if len(d) == 0:
         raise ValueError("dataset is empty")
     return _cost_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y, s.alpha_tau, s.alpha_v)
-
-
-def cost_gradient(m: SimplifiedModel, d: Dataset, s: SmoothingConfig) -> np.ndarray:
-    """Analytic gradient of J in the reduced (pi1, tau1, v1, tau2, v2) coordinates."""
-    if len(d) == 0:
-        raise ValueError("dataset is empty")
-    return _cost_grad_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y, s.alpha_tau, s.alpha_v)[1]
 
 
 # scipy.optimize.minimize(method="L-BFGS-B") defaults: maxcor, maxls, maxfun.

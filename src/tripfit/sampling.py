@@ -138,8 +138,8 @@ def sample_training(c: CompositeProtection, cfg: SamplerConfig) -> Dataset:
     """Draw exactly n_train points uniformly from {weight >= threshold}, labeled by F.
 
     Rejection sampling over the box; deterministic given cfg.seed.  Raises
-    SamplingError when the accepted region's estimated area falls below 0.1 %
-    of the domain (weight_threshold too high).
+    SamplingError when the accepted share of the box is below n_train over the
+    max(100 000, 2000 n_train) proposals made (0.05 % for n_train >= 50).
     """
     rng = rng_stream(cfg.seed, "train")
     (t_lo, t_hi), (v_lo, v_hi) = cfg.tau_range, cfg.v_range
@@ -154,9 +154,10 @@ def sample_training(c: CompositeProtection, cfg: SamplerConfig) -> Dataset:
         if proposals >= max_proposals:
             rate = accepted / proposals
             raise SamplingError(
-                f"accepted region is ~{100 * rate:.4f}% of the domain after "
-                f"{proposals} proposals (need >= 0.1%); lower weight_threshold "
-                f"({cfg.weight_threshold}) or the beta decay rates"
+                f"accepted region is ~{100 * rate:.4f}% of the sampling box after "
+                f"{proposals} proposals (n_train={n} needs >= {100 * n / proposals:.4f}%); "
+                f"lower weight_threshold ({cfg.weight_threshold}) or the beta decay rates, "
+                f"or extend tau_range / v_range toward tau_f = 0 or v_f <= {V_KNEE:g}"
             )
         t = rng.uniform(t_lo, t_hi, size=batch)
         v = rng.uniform(v_lo, v_hi, size=batch)

@@ -312,6 +312,46 @@ def test_cli_sweep_skips_matrix_when_targets_absent(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep_C_matrix.csv").exists()
 
 
+def test_cli_sweep_rejects_targets_absent_from_composite(tmp_path, capsys):
+    path = _small_config(tmp_path, uncertainty={"gamma_levels": [0.4], "trials": 30,
+                                                "m_eval": 300, "targets": ["P4"]})
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(path), "--motor", "C"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: uncertainty.targets ['P4'] not in composite C")
+    assert not (tmp_path / "out" / "sweep_C_long.csv").exists()
+
+
+def test_cli_unreachable_sampling_region_exit_code(tmp_path, capsys):
+    path = _small_config(tmp_path, sampler={"n_train": 60, "m_eval": 600, "tau_range": [4.9, 5.0],
+                                            "v_range": [99.0, 100.0], "weight_threshold": 0.9})
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: accepted region is ~0.0000% of the sampling box")
+    assert "lower weight_threshold (0.9)" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda text: text[:len(text) // 2], "is not valid JSON"),
+    (lambda text: "[]", "is not a fit result with a config object"),
+    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "model"}),
+     "holds no valid model (KeyError('model'))"),
+], ids=["truncated", "top_level_list", "no_model"])
+def test_cli_rejects_malformed_fit_result(tmp_path, capsys, corrupt, message):
+    path = _small_config(tmp_path)
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
+    fit_path = tmp_path / "out" / "fit_C.json"
+    fit_path.write_text(corrupt(fit_path.read_text()))
+    capsys.readouterr()
+    for verb in (["grid", "--target", "fitted", "--resolution", "2"], ["mae"], ["sweep"]):
+        assert main(verb + ["--config", str(path), "--motor", "C"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fit_path} ") and message in err, (verb, err)
+        assert "rerun `tripfit fit --motor C` with this config" in err
+
+
 def test_cli_unknown_motor(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "Q"]) == 2

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tripfit import parse_library
-from tripfit.library import load_library
+from tripfit.library import read_library
 
 
 def test_default_library_targets(library):
@@ -117,7 +117,7 @@ def test_load_library_reports_json_position(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"units": }')
     with pytest.raises(ValueError, match="line 1"):
-        load_library(path)
+        read_library(path)
 
 
 def test_composite_needs_nonzero_entries(library):

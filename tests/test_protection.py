@@ -177,6 +177,31 @@ def test_composite_monotone_in_each_axis():
         assert comp.evaluate(tau, v - d_v) <= base + 1e-12     # deeper sag trips more
 
 
+def _streaming_evaluate(c, tau, v):
+    """Reference composite: a running sum of pi (1 - trips) over the entries, from zeros."""
+    tau = np.asarray(tau, dtype=float)
+    v = np.asarray(v, dtype=float)
+    total = np.zeros(np.broadcast(tau, v).shape)
+    for scheme, pi in c.entries:
+        total += pi * (1.0 - scheme.zone.contains(tau, v))
+    return total if total.ndim else float(total)
+
+
+def test_evaluate_bit_equal_to_streaming_sum():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        comp = random_composite(rng)
+        tau, v = rng.uniform(0, 5, 64), rng.uniform(0, 100, 64)
+        tau[0], v[0] = comp.entries[0][0].zone.steps[0]  # a point on a zone corner
+        for args in ((tau, v), (tau[:, None], v[None, :]), (float(tau[0]), float(v[0])),
+                     (float(tau[1]), float(v[1]))):
+            got, want = comp.evaluate(*args), _streaming_evaluate(comp, *args)
+            assert type(got) is type(want)
+            got, want = np.asarray(got), np.asarray(want)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), args
+
+
 # ---------------------------------------------------------- grid_evaluate
 
 def test_grid_single_cell():

@@ -14,16 +14,13 @@ from tripfit import (
     SmoothingConfig,
     brute_force_fit,
     cost,
-    cost_gradient,
     default_library,
     fit,
     hard_mse,
     hard_values,
     harden,
-    logistic,
     mae,
     sample_training,
-    smooth_block,
     smooth_model,
 )
 from tripfit import regression
@@ -40,35 +37,41 @@ def _dataset_from_hard(model, n=500, seed=0):
 
 # -------------------------------------------------------------- logistic
 
+def _sigma(x, alpha):
+    """sigma(alpha x), the first tail of the kernel's logistic pair."""
+    return regression._sigmoid_pair(np.asarray(x, dtype=float), alpha)[0]
+
+
 def test_logistic_values():
-    assert logistic(0.0, 3.0) == 0.5
-    assert logistic(1.0, math.log(3.0)) == pytest.approx(0.75, abs=1e-12)
-    assert logistic(1e4, 1.0) == 1.0
-    assert logistic(-1e4, 1.0) == 0.0
+    assert _sigma(0.0, 3.0) == 0.5
+    assert _sigma(1.0, math.log(3.0)) == pytest.approx(0.75, abs=1e-12)
+    assert _sigma(1e4, 1.0) == 1.0
+    assert _sigma(-1e4, 1.0) == 0.0
 
 
 def test_logistic_stable_at_extremes():
     with np.errstate(over="raise"):
-        out = logistic(np.array([-1e4, -10.0, 0.0, 10.0, 1e4]), 1.0)
-    assert np.all(np.isfinite(out))
+        out, out_c = regression._sigmoid_pair(np.array([-1e4, -10.0, 0.0, 10.0, 1e4]), 1.0)
+    assert np.all(np.isfinite(out)) and np.all(np.isfinite(out_c))
     assert np.all((out >= 0.0) & (out <= 1.0))
-
-
-def test_logistic_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        logistic(1.0, 0.0)
+    assert np.array_equal(out_c, out[::-1])
 
 
 # ----------------------------------------------------------- smooth model
 
+def _block(tau, v, tau_star, v_star, s):
+    """One smoothed block: the two-block model with pi1 = 1 is that block bit for bit."""
+    return smooth_model(tau, v, SimplifiedModel(1.0, tau_star, v_star, 0.0, 0.0, 0.0), s)
+
+
 def test_smooth_block_midpoint():
     s = SmoothingConfig(alpha_tau=50.0, alpha_v=2.0, continuation_schedule=None)
-    assert smooth_block(0.5, 60.0, 0.5, 60.0, s) == pytest.approx(0.75, abs=1e-12)
+    assert _block(0.5, 60.0, 0.5, 60.0, s) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_smooth_block_trip_corner():
     s = SmoothingConfig(alpha_tau=50.0, alpha_v=2.0, continuation_schedule=None)
-    assert 0.0 < smooth_block(4.0, 5.0, 0.5, 60.0, s) < 1e-9
+    assert 0.0 < _block(4.0, 5.0, 0.5, 60.0, s) < 1e-9
 
 
 def _subtractive_sigmoid(z):
@@ -94,7 +97,7 @@ def test_smooth_block_matches_subtractive_form():
         tau = rng.uniform(0, 5, 20000)
         v = rng.uniform(0, 100, 20000)
         tau_star, v_star = rng.uniform(0, 5), rng.uniform(0, 100)
-        new = smooth_block(tau, v, tau_star, v_star, s)
+        new = _block(tau, v, tau_star, v_star, s)
         old = _subtractive_block(tau, v, tau_star, v_star, alpha_tau, alpha_v)[0]
         ok = old >= 1e-3
         assert ok.sum() > 1000
@@ -148,7 +151,7 @@ def test_smooth_block_converges_to_hard():
     tau, v = tau[keep], v[keep]
     hard = (tau >= tau_star) & (v <= v_star)
     s = SmoothingConfig(alpha_tau=2000.0, alpha_v=200.0, continuation_schedule=None)
-    approx = smooth_block(tau, v, tau_star, v_star, s)
+    approx = _block(tau, v, tau_star, v_star, s)
     assert np.max(np.abs((1.0 - hard) - approx)) < 1e-6
 
 
@@ -156,7 +159,7 @@ def test_smooth_model_degenerate_fraction():
     s = SmoothingConfig(continuation_schedule=None)
     m = SimplifiedModel(0.0, 0.3, 80.0, 1.0, 1.0, 50.0)
     tau, v = 0.7, 62.0
-    assert smooth_model(tau, v, m, s) == smooth_block(tau, v, 1.0, 50.0, s)
+    assert smooth_model(tau, v, m, s) == _block(tau, v, 1.0, 50.0, s)
 
 
 def test_smooth_model_even_split():
@@ -193,7 +196,7 @@ def test_smooth_model_identical_blocks():
     b = SimplifiedModel(0.9, 1.0, 50.0, 0.1, 1.0, 50.0)
     tau = np.linspace(0, 5, 33)
     v = np.linspace(0, 100, 33)
-    single = smooth_block(tau, v, 1.0, 50.0, s)
+    single = _block(tau, v, 1.0, 50.0, s)
     np.testing.assert_allclose(smooth_model(tau, v, a, s), single, rtol=0, atol=1e-15)
     np.testing.assert_allclose(smooth_model(tau, v, b, s), single, rtol=0, atol=1e-15)
 
@@ -236,6 +239,12 @@ def test_smoothing_config_validation():
 
 # ------------------------------------------------------------------ cost
 
+def _gradient(m, d, s):
+    """Analytic gradient of the cost in the reduced (pi1, tau1, v1, tau2, v2) coordinates."""
+    return regression._cost_grad_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y,
+                                         s.alpha_tau, s.alpha_v)[1]
+
+
 def test_cost_zero_at_self_labels():
     s = SmoothingConfig(continuation_schedule=None)
     m = SimplifiedModel(0.4, 0.5, 60.0, 0.6, 2.0, 45.0)
@@ -244,7 +253,7 @@ def test_cost_zero_at_self_labels():
     v = rng.uniform(0, 100, 100)
     d = Dataset(tau, v, smooth_model(tau, v, m, s))
     assert cost(m, d, s) == 0.0
-    assert np.array_equal(cost_gradient(m, d, s), np.zeros(5))
+    assert np.array_equal(_gradient(m, d, s), np.zeros(5))
 
 
 def test_cost_single_point_half():
@@ -298,7 +307,7 @@ def test_gradient_pi_zero_for_identical_blocks():
     m = SimplifiedModel(0.3, 1.0, 50.0, 0.7, 1.0, 50.0)
     rng = np.random.default_rng(8)
     d = Dataset(rng.uniform(0, 5, 50), rng.uniform(0, 100, 50), rng.uniform(0, 1, 50))
-    assert cost_gradient(m, d, s)[0] == 0.0
+    assert _gradient(m, d, s)[0] == 0.0
 
 
 def _per_block_sigmoid_pair(z):
@@ -412,7 +421,7 @@ def test_block_parts_bit_equal_to_alpha_first_form(points, tau_star, v_star, alp
     v = np.array([p[1] for p in points])
     args = (tau_star, v_star, alpha_tau, alpha_v)
     cases = [((tau, v), _block_parts(tau, v, *args), _alpha_first_block_parts(tau, v, *args))]
-    scalars = (points[0][0], points[0][1])  # Python floats, as smooth_block on floats passes
+    scalars = (points[0][0], points[0][1])  # Python floats, as a scalar smooth_model call passes
     cases.append((scalars, _block_parts(*scalars, *args), _alpha_first_block_parts(*scalars, *args)))
     for inputs, got, want in cases:
         for a, b in zip(got, want):

@@ -1,4 +1,6 @@
 import math
+import re
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -112,6 +114,27 @@ def test_training_rejects_unreachable_threshold():
     )
     with pytest.raises(SamplingError, match="weight_threshold"):
         sample_training(comp, cfg)
+
+
+def test_training_fails_only_below_the_stated_share():
+    # Just above v_f = 50 the weight falls below 0.9999, so the accepted share
+    # of each box is about (50 - v_lo) / (100 - v_lo): 0.085 % here, which the
+    # sampler accepts although it is below 0.1 % ...
+    comp = random_composite(np.random.default_rng(7))
+    cfg = SamplerConfig(weight_threshold=0.9999, tau_range=(4.9, 5.0), v_range=(49.96, 100.0),
+                        n_train=50, m_eval=500, seed=1)
+    assert len(sample_training(comp, cfg)) == 50
+    # ... and 0.03 % here, below the n_train / proposals bound the message states.
+    cfg = replace(cfg, v_range=(49.985, 100.0))
+    with pytest.raises(SamplingError) as info:
+        sample_training(comp, cfg)
+    found = re.search(r"~([0-9.]+)% of the sampling box after (\d+) proposals "
+                      r"\(n_train=50 needs >= ([0-9.]+)%\)", str(info.value))
+    assert found, str(info.value)
+    share, proposals, need = float(found[1]), int(found[2]), float(found[3])
+    assert proposals >= 2000 * 50
+    assert need == round(100 * 50 / proposals, 4) and need < 0.05
+    assert share < need
 
 
 # ---------------------------------------------------------- latin hypercube
