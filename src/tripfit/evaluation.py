@@ -18,7 +18,7 @@ import numpy as np
 
 from .protection import CompositeProtection, accumulate
 from .regression import FitConfig, SimplifiedModel, SmoothingConfig, fit, harden
-from .rng import rng_stream
+from .rng import rng_stream, stream_uniforms
 from .sampling import SamplerConfig, _require_ints, _write_csv, lhs_box, sample_training
 
 
@@ -60,6 +60,11 @@ class UncertaintySpec:
         for name in self.targets + (self.matrix_targets or ()):
             if not isinstance(name, str):
                 raise ValueError(f"scheme names must be strings, got {name!r}")
+        if len(set(self.targets)) != len(self.targets):
+            raise ValueError(f"targets must not repeat a scheme, got {list(self.targets)}")
+        if self.matrix_targets is not None and len(set(self.matrix_targets)) != 2:
+            raise ValueError("matrix_targets must name two different schemes, "
+                             f"got {list(self.matrix_targets)}")
         for g in self.gamma_levels:
             if not (0.0 <= g < 1.0):
                 raise ValueError(f"gamma levels must lie in [0, 1), got {g}")
@@ -140,15 +145,25 @@ def perturb_fractions(c: CompositeProtection, gammas: Mapping[str, float]) -> Co
     return CompositeProtection(tuple((s, pi / total) for s, pi in scaled))
 
 
-def _maes(approx: np.ndarray, fractions: np.ndarray, conn: np.ndarray) -> np.ndarray:
-    """Per-row MAE of `approx` against the composites with these fraction rows."""
-    # Bound to a name so it stays alive through np.abs: freed before that
-    # allocation, glibc's malloc took ~50 % more page faults per block.
-    truth = accumulate(fractions, conn)
-    return np.abs(approx - truth).mean(axis=1)
+def _maes(approx: np.ndarray, fractions: np.ndarray, patterns: np.ndarray, inverse: np.ndarray,
+          buf: np.ndarray) -> np.ndarray:
+    """Per-row MAE of `approx` against the composites with these fraction rows.
+
+    patterns holds the distinct columns of the schemes' connectivity and
+    inverse the column of each evaluation point, so each composite is summed
+    once per pattern and gathered into the leading rows of buf, a C-contiguous
+    (rows, points) work array.  A row mean over a C-contiguous array sums as
+    one over a fresh `np.abs(approx - truth)` does; a fancy-indexed gather is
+    not C-contiguous, and its row means differed in the last bit.
+    """
+    out = buf[:len(fractions)]
+    # mode="raise", the default, gathers into a fresh array and copies it to out.
+    np.take(accumulate(fractions, patterns), inverse, axis=1, out=out, mode="wrap")
+    np.subtract(approx, out, out=out)
+    return np.abs(out, out=out).mean(axis=1)
 
 
-# Trials scored at once; bounds the (trials x m_eval) working arrays.
+# Trials scored at once; bounds the (trials x m_eval) work array.
 _BLOCK_TRIALS = 32
 
 
@@ -167,45 +182,53 @@ def _monte_carlo(
     (levels,) * len(groups) + (trials,).  Trial t of cell (i, ...) draws one
     gamma per target, uniform in [-level, +level] and in target order, from
     rng_stream(seed, stream, i, ..., t); a refit trial then draws its fit
-    seed from the same stream.  Evaluation points are fixed for the whole
-    study, and every composite is linear in its fractions, so each scheme's
-    connectivity is evaluated once and trials are scored in blocks.
+    seed from the same stream.  The gammas of a whole row of cells come from
+    `stream_uniforms` at once.  Evaluation points are fixed for the whole
+    study, and every composite is linear in its fractions, so the schemes'
+    connectivity is evaluated once, reduced to its distinct patterns, and
+    trials are scored in blocks.
     """
     tau, v = lhs_box(rng_stream(spec.seed, "sweep_eval"), spec.m_eval)
     schemes = [scheme for scheme, _ in c_nominal.entries]
-    conn = c_nominal.connectivity(tau, v)
+    patterns, inverse = np.unique(c_nominal.connectivity(tau, v), axis=1, return_inverse=True)
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it with shape (1, points)
+    buf = np.empty((_BLOCK_TRIALS, spec.m_eval))
     nominal = c_nominal.fractions
     approx = harden(fitted).evaluate(tau, v)
-    columns = [[c_nominal.names.index(name) for name in group] for group in groups]
-    levels = spec.gamma_levels
+    columns = [c_nominal.names.index(name) for group in groups for name in group]
+    sizes = [len(group) for group in groups]
+    levels = np.array(spec.gamma_levels)
 
     maes = np.empty((len(levels),) * len(groups) + (spec.trials,))
     not_converged = np.zeros(maes.shape[:-1], dtype=int)
-    for cell in np.ndindex(maes.shape[:-1]):
-        for start in range(0, spec.trials, _BLOCK_TRIALS):
-            trials = range(start, min(start + _BLOCK_TRIALS, spec.trials))
-            gammas = np.zeros((len(trials), len(schemes)))
-            rngs = []
-            for row, t in enumerate(trials):
-                rng = rng_stream(spec.seed, stream, *cell, t)
-                for cols, li in zip(columns, cell):
-                    for k in cols:
-                        gammas[row, k] = rng.uniform(-levels[li], levels[li])
-                rngs.append(rng)
+    # One row of cells at a time bounds the streams' working memory.
+    for head in np.ndindex(maes.shape[:-2]):
+        cells = [head + (i,) for i in range(len(levels))]
+        draws = stream_uniforms(spec.seed, stream, cells, spec.trials, len(columns))
+        for cell, u in zip(cells, draws):
+            bound = np.repeat(levels[list(cell)], sizes)
+            gammas = np.zeros((spec.trials, len(schemes)))
+            # Generator.uniform(-level, level), term for term.
+            gammas[:, columns] = -bound + (bound - -bound) * u
             fractions = _perturbed(nominal, gammas)
-            block_approx = approx
-            if refit_ctx is not None:
-                sampler, smoothing, fit_cfg = refit_ctx
-                block_approx = np.empty((len(trials), spec.m_eval))
-                for row, rng in enumerate(rngs):
-                    trial_seed = int(rng.integers(0, 2**63 - 1))
-                    actual = CompositeProtection(tuple(zip(schemes, fractions[row])))
-                    data = sample_training(actual, replace(sampler, seed=trial_seed))
-                    result = fit(data, smoothing, replace(fit_cfg, seed=trial_seed))
-                    not_converged[cell] += not result.converged
-                    block_approx[row] = harden(result.model).evaluate(tau, v)
-            maes[cell][start:trials.stop] = _maes(block_approx, fractions, conn)
-    nominal_mae = float(_maes(approx, nominal[None, :], conn)[0])
+            for start in range(0, spec.trials, _BLOCK_TRIALS):
+                stop = min(start + _BLOCK_TRIALS, spec.trials)
+                block_approx = approx
+                if refit_ctx is not None:
+                    sampler, smoothing, fit_cfg = refit_ctx
+                    block_approx = np.empty((stop - start, spec.m_eval))
+                    for row, t in enumerate(range(start, stop)):
+                        rng = rng_stream(spec.seed, stream, *cell, t)
+                        rng.random(len(columns))  # the trial's gammas
+                        trial_seed = int(rng.integers(0, 2**63 - 1))
+                        actual = CompositeProtection(tuple(zip(schemes, fractions[t])))
+                        data = sample_training(actual, replace(sampler, seed=trial_seed))
+                        result = fit(data, smoothing, replace(fit_cfg, seed=trial_seed))
+                        not_converged[cell] += not result.converged
+                        block_approx[row] = harden(result.model).evaluate(tau, v)
+                maes[cell][start:stop] = _maes(block_approx, fractions[start:stop], patterns,
+                                               inverse, buf)
+    nominal_mae = float(_maes(approx, nominal[None, :], patterns, inverse, buf)[0])
     return nominal_mae, maes, not_converged
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -7,7 +8,8 @@ import pytest
 from tripfit.cli import main
 from tripfit.config import ConfigError, load_config
 
-EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "example_project.json"
+REPO_ROOT = Path(__file__).resolve().parents[1]
+EXAMPLE_CONFIG = REPO_ROOT / "configs" / "example_project.json"
 
 
 def _small_config(tmp_path, **overrides):
@@ -390,6 +392,10 @@ _TYPED_LIBRARY = {
      "fraction_table['P1'] must be a list of fractions, got 1.0"),
     ({}, {**_TYPED_LIBRARY, "combinations": {"P1-P2": 5}},
      "combination 'P1-P2' must be a list of base scheme names, got 5"),
+    ({"uncertainty": {"matrix_targets": ["P2", "P2"]}}, None,
+     "uncertainty: matrix_targets must name two different schemes, got ['P2', 'P2']"),
+    ({"uncertainty": {"targets": ["P2", "P1", "P2"]}}, None,
+     "uncertainty: targets must not repeat a scheme, got ['P2', 'P1', 'P2']"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
     if library is not None:
@@ -399,3 +405,24 @@ def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, mess
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _script(name):
+    spec = importlib.util.spec_from_file_location(name, REPO_ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fit_all_motors_lists_only_fits_that_ran(tmp_path, capsys):
+    run = _script("fit_all_motors").run
+    out = tmp_path / "motors"
+    assert run(["--config", str(_small_config(tmp_path)), "--out", str(out)]) == 0
+    table = capsys.readouterr().out.splitlines()[-5:]
+    assert table[0].split() == ["motor", "pi1", "tau1*", "v1*", "pi2", "tau2*", "v2*", "MAE"]
+    assert [line.split()[0] for line in table[1:]] == list("ABCD")
+    # Every fit now exits 2; the fit_*.json files of the run above are stale.
+    assert run(["--config", str(_small_config(tmp_path, seed=-1)), "--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.err.count("seed must be >= 0") == 4
+    assert captured.out == ""

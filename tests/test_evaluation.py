@@ -1,8 +1,10 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import tripfit.evaluation
 from helpers import random_composite, random_zone
 from tripfit import (
     CompositeProtection,
@@ -21,7 +23,14 @@ from tripfit import (
     uncertainty_matrix,
     uncertainty_sweep,
 )
-from tripfit.evaluation import matrix_csv, sweep_long_csv, sweep_summary_csv
+from tripfit.evaluation import (
+    _BLOCK_TRIALS,
+    _maes,
+    matrix_csv,
+    sweep_long_csv,
+    sweep_summary_csv,
+)
+from tripfit.protection import accumulate
 from tripfit.rng import rng_stream
 from tripfit.sampling import lhs_box
 
@@ -255,11 +264,77 @@ def test_matrix_matches_rebuilt_composites():
                 rebuilt, rel=spec.trials * np.finfo(float).eps, abs=0.0)
 
 
+def _accumulate_then_abs(approx, fractions, conn):
+    """Block scoring as it was before patterns and the reused buffer, verbatim."""
+    truth = accumulate(fractions, conn)
+    return np.abs(approx - truth).mean(axis=1)
+
+
+@pytest.mark.parametrize("refit", [False, True])
+def test_maes_matches_accumulate_then_abs(refit):
+    rng = np.random.default_rng(5)
+    comp = _five_scheme_composite()
+    tau, v = lhs_box(rng, 900)
+    conn = comp.connectivity(tau, v)
+    patterns, inverse = np.unique(conn, axis=1, return_inverse=True)
+    buf = np.empty((_BLOCK_TRIALS, tau.size))
+    # 70 rows: two full blocks and a partial last one, all through one buffer.
+    fractions = rng.dirichlet(np.ones(len(comp.names)), 70)
+    approx = rng.uniform(size=(70, tau.size) if refit else tau.size)
+    for start in range(0, 70, _BLOCK_TRIALS):
+        rows = slice(start, start + _BLOCK_TRIALS)
+        block_approx = approx[rows] if refit else approx
+        got = _maes(block_approx, fractions[rows], patterns, inverse.reshape(-1), buf)
+        assert got.tolist() == _accumulate_then_abs(block_approx, fractions[rows], conn).tolist()
+
+
+def test_non_refit_study_builds_no_stream_per_trial(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rng_stream(*args)
+
+    monkeypatch.setattr(tripfit.evaluation, "rng_stream", counted)
+    comp = _five_scheme_composite()
+    spec = UncertaintySpec(gamma_levels=(0.0, 0.3, 0.6), matrix_targets=("S1", "S3"),
+                           trials=40, seed=9, m_eval=200)
+    uncertainty_sweep(comp, TWO_BLOCK_TRUTH, spec)
+    uncertainty_matrix(comp, TWO_BLOCK_TRUTH, spec)
+    # One stream each, for the evaluation points; the trials' gammas come
+    # from stream_uniforms.
+    assert calls == [(9, "sweep_eval"), (9, "sweep_eval")]
+
+
+def _digest(values) -> str:
+    return hashlib.sha256("\n".join(repr(float(x)) for x in values).encode()).hexdigest()
+
+
+def test_sweep_and_matrix_golden_digests():
+    # Digests recorded with per-trial generators and full-connectivity block
+    # scoring.  Two hand-set staircases and no fit: every value is IEEE
+    # arithmetic on fixed inputs, so a change in any bit of any trial shows.
+    comp = _named_two_scheme_composite()
+    approx = SimplifiedModel(0.5, 0.3, 65.0, 0.5, 1.2, 60.0)
+    spec = UncertaintySpec(gamma_levels=(0.0, 0.3), matrix_targets=("Z1", "Z2"), trials=40,
+                           seed=5, m_eval=500)
+    sweep = uncertainty_sweep(comp, approx, spec)
+    matrix = uncertainty_matrix(comp, approx, spec)
+    assert _digest(np.concatenate([stats.maes for stats in sweep.levels])) == (
+        "ebcc33f79d024c559c854d707f148f716b5ada0353c90bc5a47f5d9cfb6bb16b")
+    assert _digest(matrix.mean_mae.ravel()) == (
+        "af1ea14a9ece191aa050ed1d15d0eff04f82a8c59a446f4b0be2e131a7c4447d")
+
+
 def test_uncertainty_spec_validation():
     with pytest.raises(ValueError):
         UncertaintySpec(gamma_levels=(1.0,))
     with pytest.raises(ValueError):
         UncertaintySpec(trials=10)
+    with pytest.raises(ValueError, match="must not repeat"):
+        UncertaintySpec(targets=("Z1", "Z2", "Z1"))
+    with pytest.raises(ValueError, match="two different schemes"):
+        UncertaintySpec(matrix_targets=("Z1", "Z1"))
 
 
 # ----------------------------------------------------------------- matrix
