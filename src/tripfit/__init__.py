@@ -29,12 +29,10 @@ from .regression import (
     SimplifiedModel,
     SmoothingConfig,
     brute_force_fit,
-    cost,
     fit,
     hard_mse,
     hard_values,
     harden,
-    smooth_model,
 )
 from .evaluation import (
     MaeReport,

@@ -116,8 +116,10 @@ def cmd_fit(cfg: ProjectConfig, target: str) -> int:
           f"v*=({m.v1_star:.3f}, {m.v2_star:.3f}) % "
           f"cost={result.final_cost:.3e} mae={report.epsilon:.4f}")
     if not result.converged:
-        print(f"warning: fit for {target} did not reach the gradient tolerance "
-              f"(budget {cfg.fit.max_iters} iterations/start)", file=sys.stderr)
+        stages = len(result.diagnostics["alpha_stages"])
+        print(f"warning: fit for {target} did not reach the gradient tolerance; the winning "
+              f"start stopped after {result.iterations} iterations over {stages} stages "
+              f"(budget {cfg.fit.max_iters} iterations per stage)", file=sys.stderr)
         return 1
     return 0
 

@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
+import importlib.util
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -26,18 +29,60 @@ from typing import Sequence
 
 import numpy as np
 import scipy
-# fit no longer calls minimize; the name stays bound because bench/tracing.py
-# patches tripfit.regression.minimize when it installs its spans.
-from scipy.optimize import minimize  # noqa: F401
-# scipy's private L-BFGS-B reverse-communication step: the 17-argument C setulb
-# of scipy >= 1.15.  tests/test_regression.py::test_fit_matches_per_start_minimize
-# pins fit to the public scipy.optimize.minimize loop it mirrors.
-from scipy.optimize._lbfgsb import setulb as _setulb
 
 from .protection import (FRACTION_SUM_TOL, TAU_MAX, V_MAX, CompositeProtection,
                          ProtectionScheme, TripZone)
 from .rng import rng_stream
 from .sampling import Dataset, _require_ints, lhs_unit
+
+_SCIPY_DIR = Path(scipy.__file__).parent
+
+
+def _load_lbfgsb():
+    """scipy's compiled L-BFGS-B module, loaded without running scipy.optimize's __init__.
+
+    Importing scipy.optimize takes most of a tripfit process's start-up, and
+    fit needs only this extension.  It is registered in sys.modules under its
+    own name, so a later import of scipy.optimize reuses the same module; being
+    loaded before its package, it is not set as an attribute of that package,
+    so `import scipy.optimize._lbfgsb as m` finds it but attribute access does not.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.machinery.PathFinder.find_spec(name, [str(_SCIPY_DIR / "optimize")])
+    if spec is None:
+        from scipy.optimize import _lbfgsb
+        return _lbfgsb
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# scipy's private L-BFGS-B reverse-communication step: the 17-argument C setulb
+# of scipy >= 1.15.  tests/test_regression.py::test_fit_matches_per_start_minimize
+# pins fit to the public scipy.optimize.minimize loop it mirrors.
+_setulb = _load_lbfgsb().setulb
+
+# Importing scipy.optimize freed blocks of a few hundred KiB, which raised
+# glibc's dynamic mmap threshold and, at twice that, its heap-trim threshold.
+# Without that import, a default fit's temporaries trim and regrow the heap,
+# ≈ 2 700 minor page faults and ≈ 12 % more CPU a fit.  Freeing one untouched
+# 4 MiB block raises both thresholds the same way; other allocators just map
+# and unmap it.
+np.empty(4 << 20, dtype=np.uint8)
+
+
+def __getattr__(name):
+    # fit does not call minimize; bench/tracing.py still patches
+    # tripfit.regression.minimize, so the name resolves, importing scipy.optimize
+    # only when it is asked for.
+    if name == "minimize":
+        from scipy.optimize import minimize
+        return minimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # Reduced parameter vector: (pi1, tau1_star, v1_star, tau2_star, v2_star),
 # with pi2 eliminated as 1 - pi1.
@@ -212,23 +257,14 @@ def _block_parts(tau, v, tau_star, v_star, alpha_tau, alpha_v):
     zt = alpha_tau (tau - tau*), zv = alpha_v (v - v*).  This equals
     1 - sigma(zt) (1 - sigma(zv)) but never subtracts from 1, so the value stays
     positive (about exp(-zt) + exp(zv)) deep in the trip corner instead of
-    cancelling to 0.  Every smoothed-block value is computed here, so
-    smooth_model and the fitting cost see bit-identical blocks; with column
-    vectors of thresholds, each row of the result is one block.
+    cancelling to 0.  Every smoothed-block value is computed here, so the
+    fitting cost and any reference evaluation built on it see bit-identical
+    blocks; with column vectors of thresholds, each row of the result is one
+    block.
     """
     st, st_c = _sigmoid_pair(tau - tau_star, alpha_tau)
     sv, sv_c = _sigmoid_pair(v - v_star, alpha_v)
     return st_c + st * sv, st, st_c, sv, sv_c
-
-
-def smooth_model(tau_f, v_f, m: SimplifiedModel, s: SmoothingConfig):
-    """Smoothed two-block model value pi1 B1 + pi2 B2 at s's base steepness."""
-    tau_f = np.asarray(tau_f, dtype=float)
-    v_f = np.asarray(v_f, dtype=float)
-    b1 = _block_parts(tau_f, v_f, m.tau1_star, m.v1_star, s.alpha_tau, s.alpha_v)[0]
-    b2 = _block_parts(tau_f, v_f, m.tau2_star, m.v2_star, s.alpha_tau, s.alpha_v)[0]
-    out = m.pi1 * b1 + m.pi2 * b2
-    return out if out.ndim else float(out)
 
 
 def hard_values(m: SimplifiedModel, tau_f, v_f):
@@ -281,13 +317,6 @@ def _cost_reduced(theta, tau, v, y, alpha_tau, alpha_v) -> float:
     return float(_cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v)[0])
 
 
-def cost(m: SimplifiedModel, d: Dataset, s: SmoothingConfig) -> float:
-    """Smoothed least squares cost J = (1/2N) sum (Fhat - y)^2 at s's base steepness."""
-    if len(d) == 0:
-        raise ValueError("dataset is empty")
-    return _cost_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y, s.alpha_tau, s.alpha_v)
-
-
 # scipy.optimize.minimize(method="L-BFGS-B") defaults: maxcor, maxls, maxfun.
 _LBFGSB_M = 10
 _LBFGSB_MAXLS = 20
@@ -301,10 +330,10 @@ def _scipy_openblas():
 
     scipy's wheels link L-BFGS-B's setulb against their own OpenBLAS in
     scipy.libs, a different library from numpy's.  Only a copy that is already
-    loaded (by the setulb import above) is used; any other scipy build gives
-    None.
+    loaded (as a dependency of the _lbfgsb extension loaded above) is used; any
+    other scipy build gives None.
     """
-    for path in sorted((Path(scipy.__file__).parent.parent / "scipy.libs").glob(
+    for path in sorted((_SCIPY_DIR.parent / "scipy.libs").glob(
             "libscipy_openblas*.so*")):
         try:
             lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
@@ -435,8 +464,7 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
     model = SimplifiedModel.from_reduced(_LO + u[start_index] * _SPAN).canonical()
     alpha_final = stages[-1]
     # Recompute at the canonical parameter layout and the last stage's
-    # steepness: bit-for-bit cost(model, d, SmoothingConfig(*alpha_final,
-    # continuation_schedule=None)), not cost at s's base steepness.
+    # steepness, not at s's base steepness.
     final_cost = _cost_reduced(model.as_reduced(), tau, v, y, *alpha_final)
     diagnostics = {
         "start_costs": start_costs.tolist(),

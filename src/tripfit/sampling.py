@@ -107,17 +107,6 @@ class Dataset:
             for t, v, y in zip(self.tau_f, self.v_f, self.y)
         ))
 
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "Dataset":
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-        if not rows or rows[0] != ["tau_f_s", "v_f_pct", "y"]:
-            raise ValueError(f"{path}: expected header tau_f_s,v_f_pct,y")
-        data = np.array([[float(x) for x in row] for row in rows[1:]], dtype=float)
-        if data.size == 0:
-            data = data.reshape(0, 3)
-        return cls(data[:, 0], data[:, 1], data[:, 2])
-
 
 def weight(tau_f, v_f, cfg: SamplerConfig):
     """Selection weight in [0, 1]; broadcasts over array inputs.

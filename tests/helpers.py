@@ -1,9 +1,14 @@
-"""Shared random-instance builders and hypothesis strategies."""
+"""Shared random-instance builders, hypothesis strategies and reference oracles."""
+
+import csv
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 
-from tripfit import CompositeProtection, ProtectionScheme, TripZone
+from tripfit import CompositeProtection, ProtectionScheme, SimplifiedModel, SmoothingConfig, TripZone
+from tripfit.regression import _block_parts, _cost_reduced
+from tripfit.sampling import Dataset
 
 
 def random_zone(rng: np.random.Generator, max_steps: int = 4) -> TripZone:
@@ -54,3 +59,34 @@ def fault_points(draw):
     tau = draw(st.floats(0.0, 5.0, allow_nan=False))
     v = draw(st.floats(0.0, 100.0, allow_nan=False))
     return tau, v
+
+
+# ------------------------------------------------- reference oracles
+
+def smooth_model(tau_f, v_f, m: SimplifiedModel, s: SmoothingConfig):
+    """Smoothed two-block model value pi1 B1 + pi2 B2 at s's base steepness."""
+    tau_f = np.asarray(tau_f, dtype=float)
+    v_f = np.asarray(v_f, dtype=float)
+    b1 = _block_parts(tau_f, v_f, m.tau1_star, m.v1_star, s.alpha_tau, s.alpha_v)[0]
+    b2 = _block_parts(tau_f, v_f, m.tau2_star, m.v2_star, s.alpha_tau, s.alpha_v)[0]
+    out = m.pi1 * b1 + m.pi2 * b2
+    return out if out.ndim else float(out)
+
+
+def cost(m: SimplifiedModel, d: Dataset, s: SmoothingConfig) -> float:
+    """Smoothed least squares cost J = (1/2N) sum (Fhat - y)^2 at s's base steepness."""
+    if len(d) == 0:
+        raise ValueError("dataset is empty")
+    return _cost_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y, s.alpha_tau, s.alpha_v)
+
+
+def dataset_from_csv(path: str | Path) -> Dataset:
+    """Read back a `Dataset.to_csv` file."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
+    if not rows or rows[0] != ["tau_f_s", "v_f_pct", "y"]:
+        raise ValueError(f"{path}: expected header tau_f_s,v_f_pct,y")
+    data = np.array([[float(x) for x in row] for row in rows[1:]], dtype=float)
+    if data.size == 0:
+        data = data.reshape(0, 3)
+    return Dataset(data[:, 0], data[:, 1], data[:, 2])

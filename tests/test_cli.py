@@ -214,6 +214,18 @@ def test_cli_motor_c_accuracy_at_defaults(tmp_path):
     assert doc["mae"] <= 0.02
 
 
+def test_cli_fit_above_gtol_reports_winner_iterations(tmp_path, capsys):
+    # At the defaults this seed's winning start stops on the relative-reduction
+    # test above gtol, far inside the per-stage iteration budget.
+    assert main(["fit", "--config", str(EXAMPLE_CONFIG), "--motor", "mixed_commercial",
+                 "--seed", "2085", "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "fit_mixed_commercial.json").read_text())
+    assert not doc["converged"] and doc["iterations"] < doc["config"]["fit"]["max_iters"]
+    err = capsys.readouterr().err
+    assert (f"the winning start stopped after {doc['iterations']} iterations over 3 stages "
+            "(budget 400 iterations per stage)") in err
+
+
 def test_cli_fit_every_motor_class(tmp_path):
     path = _small_config(tmp_path)
     for motor in "ABCD":

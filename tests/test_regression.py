@@ -1,11 +1,18 @@
+import importlib.machinery
+import json
 import math
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from helpers import random_composite
+from helpers import cost, random_composite, smooth_model
 from tripfit import (
     FitConfig,
     FitResult,
@@ -13,7 +20,6 @@ from tripfit import (
     SimplifiedModel,
     SmoothingConfig,
     brute_force_fit,
-    cost,
     default_library,
     fit,
     hard_mse,
@@ -21,7 +27,6 @@ from tripfit import (
     harden,
     mae,
     sample_training,
-    smooth_model,
 )
 from tripfit import regression
 from tripfit.protection import TAU_MAX, V_MAX
@@ -530,6 +535,79 @@ def test_fit_matches_per_start_minimize():
         d = sample_training(comp, sampler)
         expected = _per_start_minimize_fit(d, smoothing, fit_cfg).to_jsonable()
         assert fit(d, smoothing, fit_cfg).to_jsonable() == expected, name
+
+
+# ---------------------------------------------------------------- start-up
+
+_STARTUP_PROBE = """
+import json, platform, resource, sys
+import tripfit.cli
+from tripfit import (FitConfig, SamplerConfig, SmoothingConfig, default_library, fit,
+                     regression, sample_training)
+libs = regression._SCIPY_DIR.parent / "scipy.libs"
+out = {"optimize_loaded": "scipy.optimize" in sys.modules,
+       "ships_openblas": any(libs.glob("libscipy_openblas*")),
+       "blas_found": regression._scipy_openblas() is not None,
+       "glibc": platform.libc_ver()[0] == "glibc"}
+d = sample_training(default_library().composite("mixed_commercial"), SamplerConfig(seed=1))
+fit(d, SmoothingConfig(), FitConfig(seed=1))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for seed in (2, 3, 4):
+    fit(d, SmoothingConfig(), FitConfig(seed=seed))
+out["faults_per_fit"] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
+import scipy.optimize._lbfgsb as lbfgsb
+out["same_setulb"] = regression._setulb is lbfgsb.setulb
+print(json.dumps(out))
+"""
+
+
+def test_import_skips_scipy_optimize_and_keeps_blas_cap():
+    # A fresh interpreter: this test process may have imported scipy.optimize already.
+    src = str(Path(regression.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    run = subprocess.run([sys.executable, "-c", _STARTUP_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    probe = json.loads(run.stdout)
+    assert not probe["optimize_loaded"]
+    # Without the library the one-thread tests below only skip, so check it here.
+    if probe["ships_openblas"]:
+        assert probe["blas_found"]
+    # A default fit's temporaries must not trim and regrow glibc's heap: ≈ 2 700
+    # faults a fit without the 4 MiB block regression.py frees at import, ≈ 2 with it.
+    if probe["glibc"]:
+        assert probe["faults_per_fit"] < 100
+    assert probe["same_setulb"]
+
+
+def test_lbfgsb_loader_reuses_imported_module(monkeypatch):
+    loaded = types.ModuleType("scipy.optimize._lbfgsb")
+    monkeypatch.setitem(sys.modules, "scipy.optimize._lbfgsb", loaded)
+    assert regression._load_lbfgsb() is loaded
+
+
+def test_lbfgsb_loader_falls_back_to_scipy_import(monkeypatch):
+    import scipy.optimize
+
+    lbfgsb = regression._load_lbfgsb()
+    assert regression._setulb is lbfgsb.setulb
+    # With no spec found, the fallback's `from scipy.optimize import _lbfgsb`
+    # takes the package attribute, so no finder runs while find_spec is patched.
+    monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
+    monkeypatch.setattr(scipy.optimize, "_lbfgsb", lbfgsb, raising=False)
+
+    def no_spec(cls, fullname, path=None, target=None):
+        return None
+
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", classmethod(no_spec))
+    assert regression._load_lbfgsb() is lbfgsb
+
+
+def test_minimize_name_resolves_lazily():
+    import scipy.optimize
+
+    assert regression.minimize is scipy.optimize.minimize
+    assert not hasattr(regression, "no_such_name")
 
 
 needs_scipy_blas = pytest.mark.skipif(regression._scipy_openblas() is None,

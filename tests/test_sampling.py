@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from helpers import random_composite
+from helpers import dataset_from_csv, random_composite
 from tripfit import (
     Dataset,
     SamplerConfig,
@@ -181,7 +181,7 @@ def test_dataset_csv_round_trip(tmp_path):
     data = sample_training(comp, SamplerConfig(n_train=40, m_eval=400, seed=2))
     path = tmp_path / "train.csv"
     data.to_csv(path, comments=["seed: 2", "demo comment"])
-    again = Dataset.from_csv(path)
+    again = dataset_from_csv(path)
     assert np.array_equal(data.tau_f, again.tau_f)
     assert np.array_equal(data.v_f, again.v_f)
     assert np.array_equal(data.y, again.y)
@@ -194,7 +194,7 @@ def test_dataset_csv_header_check(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
-        Dataset.from_csv(path)
+        dataset_from_csv(path)
 
 
 def test_dataset_shape_validation():
