@@ -31,7 +31,6 @@ from .regression import (
     brute_force_fit,
     fit,
     hard_mse,
-    hard_values,
     harden,
 )
 from .evaluation import (

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .evaluation import UncertaintySpec
-from .library import BUILTIN, ProtectionLibrary, parse_library, read_library
+from .library import BUILTIN, ProtectionLibrary, _decode_json, parse_library, read_library
 from .regression import FitConfig, SmoothingConfig
 from .sampling import SamplerConfig
 
@@ -101,12 +101,11 @@ def load_config(
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
+    text = path.read_text()
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
+        doc = _decode_json(text, path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     unknown = set(doc) - {"protection_library", "output_dir", "seed", "composites", *_SECTIONS}

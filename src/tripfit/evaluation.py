@@ -51,6 +51,12 @@ class UncertaintySpec:
 
     def __post_init__(self):
         _require_ints(self, "trials", "m_eval")
+        for name in ("gamma_levels", "targets"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {value!r}")
+        if not self.gamma_levels:
+            raise ValueError("gamma_levels must not be empty")
         object.__setattr__(self, "gamma_levels", tuple(float(g) for g in self.gamma_levels))
         object.__setattr__(self, "targets", tuple(self.targets))
         if self.matrix_targets is not None:

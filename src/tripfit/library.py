@@ -179,6 +179,20 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
     return ProtectionLibrary(schemes, motor_classes, fraction_table, composites, source)
 
 
+def _non_finite(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
+def _decode_json(text: str, where) -> object:
+    """The decoded JSON text, refusing NaN and +-Infinity; a ValueError names where."""
+    try:
+        return json.loads(text, parse_constant=_non_finite)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def read_library(path: str | Path):
     """The decoded JSON document of a library file, or of the bundled one for 'builtin'."""
     path = Path(path)
@@ -186,10 +200,7 @@ def read_library(path: str | Path):
         text = resources.files("tripfit").joinpath("data/protection_library.json").read_text()
     else:
         text = path.read_text()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    return _decode_json(text, path)
 
 
 def default_library() -> ProtectionLibrary:

@@ -23,7 +23,7 @@ import importlib.util
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -133,20 +133,15 @@ class SimplifiedModel:
         )
 
 
-def _default_schedule() -> tuple[tuple[float, float], ...]:
-    # Three continuation stages at 0.2x, 1x and 5x the default steepness.
-    return ((10.0, 0.4), (50.0, 2.0), (250.0, 10.0))
-
-
 @dataclass(frozen=True)
 class SmoothingConfig:
     """Logistic steepness (1/s for tau, 1/% for v) and optional continuation."""
 
     alpha_tau: float = 50.0
     alpha_v: float = 2.0
-    continuation_schedule: tuple[tuple[float, float], ...] | None = field(
-        default_factory=_default_schedule
-    )
+    # Three continuation stages at 0.2x, 1x and 5x the default steepness.
+    continuation_schedule: tuple[tuple[float, float], ...] | None = (
+        (10.0, 0.4), (50.0, 2.0), (250.0, 10.0))
 
     def __post_init__(self):
         if self.alpha_tau <= 0.0 or self.alpha_v <= 0.0:
@@ -265,22 +260,6 @@ def _block_parts(tau, v, tau_star, v_star, alpha_tau, alpha_v):
     st, st_c = _sigmoid_pair(tau - tau_star, alpha_tau)
     sv, sv_c = _sigmoid_pair(v - v_star, alpha_v)
     return st_c + st * sv, st, st_c, sv, sv_c
-
-
-def hard_values(m: SimplifiedModel, tau_f, v_f):
-    """Hard (step) two-block model value; broadcasts over array inputs."""
-    tau_f = np.asarray(tau_f, dtype=float)
-    v_f = np.asarray(v_f, dtype=float)
-    in1 = (tau_f >= m.tau1_star) & (v_f <= m.v1_star)
-    in2 = (tau_f >= m.tau2_star) & (v_f <= m.v2_star)
-    out = 1.0 - m.pi1 * in1 - m.pi2 * in2
-    return out if out.ndim else float(out)
-
-
-def hard_mse(m: SimplifiedModel, d: Dataset) -> float:
-    """Mean squared error of the hard model on a dataset."""
-    r = hard_values(m, d.tau_f, d.v_f) - d.y
-    return float(np.mean(r * r))
 
 
 def _cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v):
@@ -484,6 +463,12 @@ def harden(m: SimplifiedModel) -> CompositeProtection:
         (ProtectionScheme("block-2", TripZone.rectangle(m.tau2_star, m.v2_star)), m.pi2),
     )
     return CompositeProtection(entries)
+
+
+def hard_mse(m: SimplifiedModel, d: Dataset) -> float:
+    """Mean squared error of the hard model on a dataset."""
+    r = harden(m).evaluate(d.tau_f, d.v_f) - d.y
+    return float(np.mean(r * r))
 
 
 def brute_force_fit(d: Dataset, grid_resolution: int | tuple[int, int]) -> SimplifiedModel:

@@ -66,9 +66,15 @@ class SamplerConfig:
             raise ValueError("n_train must be at least the 5 free model parameters")
         if self.m_eval < 10 * self.n_train:
             raise ValueError("m_eval must be at least 10 * n_train")
-        for lo, hi in (self.tau_range, self.v_range):
+        for name, top in (("tau_range", TAU_MAX), ("v_range", V_MAX)):
+            bounds = getattr(self, name)
+            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2 and all(
+                    isinstance(b, numbers.Real) and not isinstance(b, bool) and 0.0 <= b <= top
+                    for b in bounds)):
+                raise ValueError(f"{name} must be two numbers in [0, {top:g}], got {bounds!r}")
+            lo, hi = bounds
             if not hi > lo:
-                raise ValueError(f"range ({lo}, {hi}) must be increasing")
+                raise ValueError(f"{name} ({lo}, {hi}) must be increasing")
 
 
 def _write_csv(path: str | Path, comments: list[str] | None, header: list, rows) -> None:
@@ -168,14 +174,7 @@ def lhs_unit(rng: np.random.Generator, m: int, dim: int) -> np.ndarray:
     return (strata + rng.random((m, dim))) / m
 
 
-def lhs_box(
-    rng: np.random.Generator,
-    m: int,
-    tau_range: tuple[float, float] = (0.0, TAU_MAX),
-    v_range: tuple[float, float] = (0.0, V_MAX),
-) -> tuple[np.ndarray, np.ndarray]:
+def lhs_box(rng: np.random.Generator, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Latin hypercube over the fault box; returns (tau, v) arrays."""
     u = lhs_unit(rng, m, 2)
-    tau = tau_range[0] + (tau_range[1] - tau_range[0]) * u[:, 0]
-    v = v_range[0] + (v_range[1] - v_range[0]) * u[:, 1]
-    return tau, v
+    return TAU_MAX * u[:, 0], V_MAX * u[:, 1]

@@ -63,6 +63,16 @@ def fault_points(draw):
 
 # ------------------------------------------------- reference oracles
 
+def hard_values(m: SimplifiedModel, tau_f, v_f):
+    """Hard (step) two-block model value; broadcasts over array inputs."""
+    tau_f = np.asarray(tau_f, dtype=float)
+    v_f = np.asarray(v_f, dtype=float)
+    in1 = (tau_f >= m.tau1_star) & (v_f <= m.v1_star)
+    in2 = (tau_f >= m.tau2_star) & (v_f <= m.v2_star)
+    out = 1.0 - m.pi1 * in1 - m.pi2 * in2
+    return out if out.ndim else float(out)
+
+
 def smooth_model(tau_f, v_f, m: SimplifiedModel, s: SmoothingConfig):
     """Smoothed two-block model value pi1 B1 + pi2 B2 at s's base steepness."""
     tau_f = np.asarray(tau_f, dtype=float)

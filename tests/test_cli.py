@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -234,6 +235,45 @@ def test_cli_fit_every_motor_class(tmp_path):
     assert produced == ["fit_A.json", "fit_B.json", "fit_C.json", "fit_D.json"]
 
 
+# sha256 of every artifact of the standard CLI runs below.  Each file echoes
+# output_dir, so the runs use a relative --out and the digests do not depend
+# on where the test runs.
+_GOLDEN_ARTIFACTS = {
+    "fit_A.json": "cc662e0193fe1268686a4500ca4baa7929d91807d127c0dd8eb89e72978690da",
+    "fit_B.json": "ffa2e9ea9f8e1772a0029308fe85e028c01ec55293ed1c289e1512c77ca52637",
+    "fit_C.json": "36543f9347497d42ae9133b297a44ae9e2ecea61a91658b3529971f31d5776f0",
+    "fit_D.json": "d1534cab23312e8dd95570f7b845424bc983feed21d877972400de3f177c916e",
+    "fit_mixed_commercial.json": "bfb7fd0e5783885b35ba9f8af0b5da311201e80ccc0b3342101d44fc52826a38",
+    "grid_mixed_commercial_fitted.csv": "3103d4a85d425b02fd12bb267e3955e582cb63d6868bc8c773d2c7edff290c9e",
+    "grid_mixed_commercial_true.csv": "7043e1ade6d91854fa6e569b972e9d8472b9889f5bad1066fe8ac60b7a2ef39e",
+    "mae_mixed_commercial.json": "bee3cc69a2ae493b878def5b7723bbcbb39548b26d897dfc8b73afce81aa1d1d",
+    "sweep_mixed_commercial_long.csv": "14ce576dd7d71023c0fa7c25959152848bf7d2b2ac106109dbd1cf473c03fa6b",
+    "sweep_mixed_commercial_matrix.csv": "2ee8dabec1a6f82a68edb6341565a33ee6ae333b3cc6eb38783c2e71fdd06b54",
+    "sweep_mixed_commercial_summary.csv": "5ddf701aec12216f61c670a8e5d0b13088847af86efc5e035c3b2ccb8332def5",
+    "train_A.csv": "9dfaad816a5e3be01c01ec8d289cc30c7ffb71a25d04ed6599bf31783fec0fa1",
+    "train_B.csv": "7c10371de971cb9ea06f090aa98ee082ab63a450d0ddfee2c0e5ba544d16b7e2",
+    "train_C.csv": "e9d0429fd2579369310c4aa06fd9d699a82bc74c817744d21f6ce7db5ecbc049",
+    "train_D.csv": "5a55438819a57b99fc3f4f54f6fe57adb6f4b3789c4a25f85297c69f908acb49",
+    "train_mixed_commercial.csv": "a1b0f24ba95950c1cc7cf74f8452be38db2497148b07d5a39bf6e033e654bc82",
+}
+
+
+def test_cli_artifact_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = ["--config", str(EXAMPLE_CONFIG), "--out", "out"]
+    target = ["--motor", "mixed_commercial"]
+    assert main(["fit", *base, *target]) == 0
+    assert main(["grid", *base, *target, "--target", "true"]) == 0
+    assert main(["grid", *base, *target, "--target", "fitted"]) == 0
+    assert main(["mae", *base, *target]) == 0
+    assert main(["sweep", *base, *target]) == 0
+    for motor in "ABCD":
+        assert main(["fit", *base, "--motor", motor, "--seed", "7"]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "out").iterdir()}
+    assert digests == _GOLDEN_ARTIFACTS
+
+
 def test_cli_grid(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
@@ -408,6 +448,20 @@ _TYPED_LIBRARY = {
      "uncertainty: matrix_targets must name two different schemes, got ['P2', 'P2']"),
     ({"uncertainty": {"targets": ["P2", "P1", "P2"]}}, None,
      "uncertainty: targets must not repeat a scheme, got ['P2', 'P1', 'P2']"),
+    ({"sampler": {"tau_range": ["a", "b"]}}, None,
+     "sampler: tau_range must be two numbers in [0, 5], got ['a', 'b']"),
+    ({"sampler": {"tau_range": [-3, 5]}}, None,
+     "sampler: tau_range must be two numbers in [0, 5], got [-3, 5]"),
+    ({"sampler": {"v_range": [0, 300]}}, None,
+     "sampler: v_range must be two numbers in [0, 100], got [0, 300]"),
+    ({"fit": {"gtol": float("nan")}}, None, "config.json: NaN is not a finite number"),
+    ({"smoothing": {"alpha_tau": float("inf"), "continuation_schedule": None}}, None,
+     "config.json: Infinity is not a finite number"),
+    ({"sampler": {"beta_tau": float("nan")}}, None, "config.json: NaN is not a finite number"),
+    ({}, {**_TYPED_LIBRARY, "base_schemes": {"P1": {"steps": [[0.1, float("-inf")]]}}},
+     "lib.json: -Infinity is not a finite number"),
+    ({"uncertainty": {"gamma_levels": []}}, None, "uncertainty: gamma_levels must not be empty"),
+    ({"uncertainty": {"targets": "P2"}}, None, "uncertainty: targets must be a list, got 'P2'"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
     if library is not None:

@@ -335,6 +335,12 @@ def test_uncertainty_spec_validation():
         UncertaintySpec(targets=("Z1", "Z2", "Z1"))
     with pytest.raises(ValueError, match="two different schemes"):
         UncertaintySpec(matrix_targets=("Z1", "Z1"))
+    with pytest.raises(ValueError, match="gamma_levels must not be empty"):
+        UncertaintySpec(gamma_levels=())
+    with pytest.raises(ValueError, match="gamma_levels must be a list"):
+        UncertaintySpec(gamma_levels="0")
+    with pytest.raises(ValueError, match="targets must be a list"):
+        UncertaintySpec(targets="Z1")
 
 
 # ----------------------------------------------------------------- matrix

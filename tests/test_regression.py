@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from helpers import cost, random_composite, smooth_model
+from helpers import cost, hard_values, random_composite, smooth_model
 from tripfit import (
     FitConfig,
     FitResult,
@@ -23,7 +23,6 @@ from tripfit import (
     default_library,
     fit,
     hard_mse,
-    hard_values,
     harden,
     mae,
     sample_training,

@@ -60,6 +60,13 @@ def test_sampler_config_validation():
         SamplerConfig(n_train=3)
     with pytest.raises(ValueError):
         SamplerConfig(n_train=200, m_eval=1999)
+    for bad in (("a", "b"), (-3.0, 5.0), (0.0, 5.5), (True, 5.0), (0.0, float("nan")),
+                (0.0,), (0.0, 1.0, 2.0), "05", (2.0, 1.0)):
+        with pytest.raises(ValueError, match="tau_range"):
+            SamplerConfig(tau_range=bad)
+    with pytest.raises(ValueError, match="v_range"):
+        SamplerConfig(v_range=(0, 300))
+    assert SamplerConfig(tau_range=(0, 5), v_range=[0.0, 100]).v_range == [0.0, 100]
 
 
 # ---------------------------------------------------------- sample_training
@@ -165,12 +172,6 @@ def test_lhs_unit_reproducible():
     b = lhs_unit(rng_stream(5, "eval"), 50, 3)
     assert np.array_equal(a, b)
     assert a.shape == (50, 3) and a.min() >= 0 and a.max() < 1
-
-
-def test_lhs_box_ranges():
-    tau, v = lhs_box(rng_stream(1, "eval"), 40, (1.0, 2.0), (10.0, 20.0))
-    assert tau.min() >= 1.0 and tau.max() <= 2.0
-    assert v.min() >= 10.0 and v.max() <= 20.0
 
 
 # ------------------------------------------------------------------- CSV
