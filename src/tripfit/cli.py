@@ -25,6 +25,7 @@ from .evaluation import (
     uncertainty_matrix,
     uncertainty_sweep,
 )
+from .library import _decode_json
 from .protection import TAU_MAX, V_MAX, grid_evaluate
 from .regression import fit, harden, model_from_jsonable
 from .sampling import SamplingError, _write_csv, sample_training
@@ -58,9 +59,9 @@ def _load_fitted_model(cfg: ProjectConfig, target: str):
         raise ConfigError(f"no fit result at {path}; run `tripfit fit --motor {target}` first")
     rerun = f"rerun `tripfit fit --motor {target}` with this config"
     try:
-        doc = json.loads(path.read_text())
+        doc = _decode_json(path.read_bytes(), f"{path} is not valid JSON")
     except ValueError as exc:
-        raise ConfigError(f"{path} is not valid JSON ({exc}); {rerun}") from None
+        raise ConfigError(f"{exc}; {rerun}") from None
     stored = doc.get("config") if isinstance(doc, dict) else None
     if not isinstance(stored, dict):
         raise ConfigError(f"{path} is not a fit result with a config object; {rerun}")

@@ -101,9 +101,8 @@ def load_config(
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    text = path.read_text()
     try:
-        doc = _decode_json(text, path)
+        doc = _decode_json(path.read_bytes(), path)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     if not isinstance(doc, dict):

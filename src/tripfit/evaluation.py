@@ -19,7 +19,8 @@ import numpy as np
 from .protection import CompositeProtection, accumulate
 from .regression import FitConfig, SimplifiedModel, SmoothingConfig, fit, harden
 from .rng import rng_stream, stream_uniforms
-from .sampling import SamplerConfig, _require_ints, _write_csv, lhs_box, sample_training
+from .sampling import (SamplerConfig, _require_ints, _require_reals, _write_csv, lhs_box,
+                       sample_training)
 
 
 @dataclass(frozen=True)
@@ -57,6 +58,7 @@ class UncertaintySpec:
                 raise ValueError(f"{name} must be a list, got {value!r}")
         if not self.gamma_levels:
             raise ValueError("gamma_levels must not be empty")
+        _require_reals("gamma_levels entry", *self.gamma_levels)
         object.__setattr__(self, "gamma_levels", tuple(float(g) for g in self.gamma_levels))
         object.__setattr__(self, "targets", tuple(self.targets))
         if self.matrix_targets is not None:

@@ -183,10 +183,14 @@ def _non_finite(name: str):
     raise ValueError(f"{name} is not a finite number")
 
 
-def _decode_json(text: str, where) -> object:
-    """The decoded JSON text, refusing NaN and +-Infinity; a ValueError names where."""
+def _decode_json(data: bytes, where) -> object:
+    """The decoded JSON document, refusing NaN and +-Infinity; a ValueError names where.
+
+    json detects the encoding of the bytes (UTF-8, -16 or -32, as RFC 8259
+    allows), so the locale plays no part and a bad byte is a ValueError.
+    """
     try:
-        return json.loads(text, parse_constant=_non_finite)
+        return json.loads(data, parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{where}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
     except ValueError as exc:
@@ -197,10 +201,10 @@ def read_library(path: str | Path):
     """The decoded JSON document of a library file, or of the bundled one for 'builtin'."""
     path = Path(path)
     if str(path) == BUILTIN:
-        text = resources.files("tripfit").joinpath("data/protection_library.json").read_text()
+        data = resources.files("tripfit").joinpath("data/protection_library.json").read_bytes()
     else:
-        text = path.read_text()
-    return _decode_json(text, path)
+        data = path.read_bytes()
+    return _decode_json(data, path)
 
 
 def default_library() -> ProtectionLibrary:

@@ -33,7 +33,7 @@ import scipy
 from .protection import (FRACTION_SUM_TOL, TAU_MAX, V_MAX, CompositeProtection,
                          ProtectionScheme, TripZone)
 from .rng import rng_stream
-from .sampling import Dataset, _require_ints, lhs_unit
+from .sampling import Dataset, _require_ints, _require_reals, lhs_unit
 
 _SCIPY_DIR = Path(scipy.__file__).parent
 
@@ -60,10 +60,11 @@ def _load_lbfgsb():
     return module
 
 
+_LBFGSB = _load_lbfgsb()
 # scipy's private L-BFGS-B reverse-communication step: the 17-argument C setulb
 # of scipy >= 1.15.  tests/test_regression.py::test_fit_matches_per_start_minimize
 # pins fit to the public scipy.optimize.minimize loop it mirrors.
-_setulb = _load_lbfgsb().setulb
+_setulb = _LBFGSB.setulb
 
 # Importing scipy.optimize freed blocks of a few hundred KiB, which raised
 # glibc's dynamic mmap threshold and, at twice that, its heap-trim threshold.
@@ -144,9 +145,13 @@ class SmoothingConfig:
         (10.0, 0.4), (50.0, 2.0), (250.0, 10.0))
 
     def __post_init__(self):
+        for name in ("alpha_tau", "alpha_v"):
+            _require_reals(name, getattr(self, name))
         if self.alpha_tau <= 0.0 or self.alpha_v <= 0.0:
             raise ValueError("steepness parameters must be > 0")
         if self.continuation_schedule is not None:
+            for a, b in self.continuation_schedule:
+                _require_reals("continuation_schedule entry", a, b)
             schedule = tuple((float(a), float(b)) for a, b in self.continuation_schedule)
             object.__setattr__(self, "continuation_schedule", schedule)
             if not schedule:
@@ -183,6 +188,8 @@ class FitConfig:
 
     def __post_init__(self):
         _require_ints(self, "n_starts", "max_iters")
+        for name in ("gtol", "ptol"):
+            _require_reals(name, getattr(self, name))
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
         if self.max_iters < 1:
@@ -307,22 +314,19 @@ _TASK_FG, _TASK_NEW_X, _TASK_STOP = 3, 1, 5
 def _scipy_openblas():
     """The thread-count get and set functions of scipy's bundled OpenBLAS, or None.
 
-    scipy's wheels link L-BFGS-B's setulb against their own OpenBLAS in
-    scipy.libs, a different library from numpy's.  Only a copy that is already
-    loaded (as a dependency of the _lbfgsb extension loaded above) is used; any
-    other scipy build gives None.
+    scipy's wheels link L-BFGS-B's setulb against their own OpenBLAS, a
+    different library from numpy's.  Symbols looked up through the loaded
+    _lbfgsb extension resolve in the libraries it links, so they are exactly
+    the ones setulb calls; any other scipy build gives None.
     """
-    for path in sorted((_SCIPY_DIR.parent / "scipy.libs").glob(
-            "libscipy_openblas*.so*")):
-        try:
-            lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
-            get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
+    try:
+        lib = ctypes.CDLL(_LBFGSB.__file__, mode=os.RTLD_NOLOAD)
+        get, set_ = lib.scipy_openblas_get_num_threads, lib.scipy_openblas_set_num_threads
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 @contextmanager
@@ -471,7 +475,7 @@ def hard_mse(m: SimplifiedModel, d: Dataset) -> float:
     return float(np.mean(r * r))
 
 
-def brute_force_fit(d: Dataset, grid_resolution: int | tuple[int, int]) -> SimplifiedModel:
+def brute_force_fit(d: Dataset, grid_resolution: int) -> SimplifiedModel:
     """Exhaustive hard-model MSE minimizer over a coarse parameter grid.
 
     pi1 runs over {0, 0.05, ..., 1}; tau_star and v_star over uniform grids
@@ -481,49 +485,39 @@ def brute_force_fit(d: Dataset, grid_resolution: int | tuple[int, int]) -> Simpl
     """
     if len(d) == 0:
         raise ValueError("dataset is empty")
-    if isinstance(grid_resolution, int):
-        r_tau = r_v = grid_resolution
-    else:
-        r_tau, r_v = grid_resolution
-    if r_tau < 2 or r_v < 2:
+    r = grid_resolution
+    if r < 2:
         raise ValueError("grid_resolution must be >= 2 per axis")
-    tau_grid = np.linspace(0.0, TAU_MAX, r_tau)
-    v_grid = np.linspace(0.0, V_MAX, r_v)
+    tau_grid = np.linspace(0.0, TAU_MAX, r)
+    v_grid = np.linspace(0.0, V_MAX, r)
     pi_grid = np.round(np.arange(21) * 0.05, 2)
 
     n = len(d)
-    t_ind = d.tau_f[None, :] >= tau_grid[:, None]   # (r_tau, n)
-    v_ind = d.v_f[None, :] <= v_grid[:, None]       # (r_v, n)
-    blocks = 1.0 - (t_ind[:, None, :] & v_ind[None, :, :]).reshape(r_tau * r_v, n)
-    k = blocks.shape[0]
+    t_ind = d.tau_f[None, :] >= tau_grid[:, None]   # (r, n)
+    v_ind = d.v_f[None, :] <= v_grid[:, None]       # (r, n)
+    blocks = 1.0 - (t_ind[:, None, :] & v_ind[None, :, :]).reshape(r * r, n)
 
-    prod = (blocks @ blocks.T) / n                  # (k, k) mean cross products
-    cross_y = (blocks @ d.y) / n                    # (k,)
+    prod = (blocks @ blocks.T) / n                  # (r², r²) mean cross products
+    cross_y = (blocks @ d.y) / n                    # (r²,)
     y_sq = float(np.mean(d.y * d.y))
     diag = np.diag(prod)
 
-    best_val = np.inf
+    pi1 = pi_grid[:, None, None]
+    pi2 = 1.0 - pi1
+    mse = (                                         # (21, r², r²)
+        pi1 * pi1 * diag[:, None]
+        + pi2 * pi2 * diag[None, :]
+        + 2.0 * pi1 * pi2 * prod
+        - 2.0 * pi1 * cross_y[:, None]
+        - 2.0 * pi2 * cross_y[None, :]
+        + y_sq
+    )
     candidates = []
-    for p_idx, pi1 in enumerate(pi_grid):
-        pi2 = 1.0 - pi1
-        mse = (
-            pi1 * pi1 * diag[:, None]
-            + pi2 * pi2 * diag[None, :]
-            + 2.0 * pi1 * pi2 * prod
-            - 2.0 * pi1 * cross_y[:, None]
-            - 2.0 * pi2 * cross_y[None, :]
-            + y_sq
-        )
-        low = float(mse.min())
-        if low > best_val:
-            continue
-        if low < best_val:
-            best_val, candidates = low, []
-        for i, j in np.argwhere(mse == best_val):
-            model = SimplifiedModel.from_reduced(
-                (pi1, tau_grid[i // r_v], v_grid[i % r_v], tau_grid[j // r_v], v_grid[j % r_v])
-            ).canonical()
-            flat_index = (p_idx * k + i) * k + j
-            candidates.append((model.tau1_star, -model.v1_star, model.tau2_star,
-                               -model.v2_star, model.pi1, flat_index, model))
+    for flat_index in np.flatnonzero(mse == mse.min()):
+        p_idx, i, j = np.unravel_index(flat_index, mse.shape)
+        model = SimplifiedModel.from_reduced(
+            (pi_grid[p_idx], tau_grid[i // r], v_grid[i % r], tau_grid[j // r], v_grid[j % r])
+        ).canonical()
+        candidates.append((model.tau1_star, -model.v1_star, model.tau2_star,
+                           -model.v2_star, model.pi1, flat_index, model))
     return min(candidates)[-1]

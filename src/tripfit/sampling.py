@@ -37,6 +37,13 @@ def _require_ints(obj, *names: str) -> None:
             raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
+def _require_reals(name: str, *values) -> None:
+    """Raise TypeError naming name unless each value is a real number (a bool is not)."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise TypeError(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs for weighted training sampling and evaluation sampling.
@@ -58,6 +65,8 @@ class SamplerConfig:
 
     def __post_init__(self):
         _require_ints(self, "n_train", "m_eval")
+        for name in ("beta_tau", "beta_v", "weight_threshold"):
+            _require_reals(name, getattr(self, name))
         if self.beta_tau <= 0.0 or self.beta_v <= 0.0:
             raise ValueError("beta_tau and beta_v must be > 0")
         if not (0.0 <= self.weight_threshold < 1.0):

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,25 @@ def test_cli_artifact_golden_digests(tmp_path, monkeypatch):
     assert digests == _GOLDEN_ARTIFACTS
 
 
+_GOLDEN_REFIT_ARTIFACTS = {
+    "fit_mixed_commercial.json": "050342beb3e7e11625b3ea0a57f33f1654bf747a92849c928ffd04cab3f8ed1b",
+    "sweep_mixed_commercial_long.csv": "3ad0581617e25138a31844e2306391c34179da49969e6326ca31e3efc5c806a9",
+    "sweep_mixed_commercial_summary.csv": "8e908b11eeeae152945b830eeedae0c11e89e3b4ba80d043ced23b9d1ebefad1",
+    "train_mixed_commercial.csv": "b9477f5181f314108c8cd6bc120aa1315c529bbff7caaf222a4d58782df1262e",
+}
+
+
+def test_cli_refit_sweep_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    path = _small_config(tmp_path, output_dir="out", uncertainty={
+        "gamma_levels": [0.2, 0.8], "trials": 30, "m_eval": 300, "refit": True})
+    for verb in ("fit", "sweep"):
+        assert main([verb, "--config", str(path), "--motor", "mixed_commercial"]) == 0
+    digests = {out.name: hashlib.sha256(out.read_bytes()).hexdigest()
+               for out in (tmp_path / "out").iterdir()}
+    assert digests == _GOLDEN_REFIT_ARTIFACTS
+
+
 def test_cli_grid(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
@@ -388,16 +408,20 @@ def test_cli_unreachable_sampling_region_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("corrupt, message", [
-    (lambda text: text[:len(text) // 2], "is not valid JSON"),
-    (lambda text: "[]", "is not a fit result with a config object"),
-    (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "model"}),
+    (lambda raw: raw[:len(raw) // 2], "is not valid JSON"),
+    (lambda raw: b"[]", "is not a fit result with a config object"),
+    (lambda raw: json.dumps({k: v for k, v in json.loads(raw).items() if k != "model"}).encode(),
      "holds no valid model (KeyError('model'))"),
-], ids=["truncated", "top_level_list", "no_model"])
+    (lambda raw: raw.replace(b'"target": "C"', b'"target": "C\xe9"'),
+     "is not valid JSON: 'utf-8' codec can't decode byte 0xe9"),
+    (lambda raw: re.sub(rb'"final_cost": [^,]+', b'"final_cost": NaN', raw),
+     "is not valid JSON: NaN is not a finite number"),
+], ids=["truncated", "top_level_list", "no_model", "bad_byte", "nan"])
 def test_cli_rejects_malformed_fit_result(tmp_path, capsys, corrupt, message):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
     fit_path = tmp_path / "out" / "fit_C.json"
-    fit_path.write_text(corrupt(fit_path.read_text()))
+    fit_path.write_bytes(corrupt(fit_path.read_bytes()))
     capsys.readouterr()
     for verb in (["grid", "--target", "fitted", "--resolution", "2"], ["mae"], ["sweep"]):
         assert main(verb + ["--config", str(path), "--motor", "C"]) == 2
@@ -415,6 +439,14 @@ def test_cli_unknown_motor(tmp_path, capsys):
 def test_cli_config_error_exit_code(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_config_that_is_not_utf8(tmp_path, capsys):
+    path = _small_config(tmp_path, output_dir="caf\u00e9")
+    path.write_bytes(path.read_bytes().replace(b"caf\\u00e9", b"caf\xe9"))
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
 
 
 _LIST_ENTRY_LIBRARY = {
@@ -462,6 +494,21 @@ _TYPED_LIBRARY = {
      "lib.json: -Infinity is not a finite number"),
     ({"uncertainty": {"gamma_levels": []}}, None, "uncertainty: gamma_levels must not be empty"),
     ({"uncertainty": {"targets": "P2"}}, None, "uncertainty: targets must be a list, got 'P2'"),
+    ({"fit": {"gtol": True}}, None, "fit: gtol must be a real number, got True"),
+    ({"fit": {"ptol": True}}, None, "fit: ptol must be a real number, got True"),
+    ({"sampler": {"beta_tau": True}}, None, "sampler: beta_tau must be a real number, got True"),
+    ({"sampler": {"beta_v": True}}, None, "sampler: beta_v must be a real number, got True"),
+    ({"sampler": {"weight_threshold": False}}, None,
+     "sampler: weight_threshold must be a real number, got False"),
+    ({"smoothing": {"alpha_tau": True}}, None,
+     "smoothing: alpha_tau must be a real number, got True"),
+    ({"smoothing": {"alpha_v": True}}, None, "smoothing: alpha_v must be a real number, got True"),
+    ({"smoothing": {"continuation_schedule": [[True, 0.4], [50.0, 2.0]]}}, None,
+     "smoothing: continuation_schedule entry must be a real number, got True"),
+    ({"smoothing": {"continuation_schedule": [["10", 0.4]]}}, None,
+     "smoothing: continuation_schedule entry must be a real number, got '10'"),
+    ({"uncertainty": {"gamma_levels": [False, 0.4]}}, None,
+     "uncertainty: gamma_levels entry must be a real number, got False"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
     if library is not None:
@@ -492,3 +539,16 @@ def test_fit_all_motors_lists_only_fits_that_ran(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.count("seed must be >= 0") == 4
     assert captured.out == ""
+
+
+def test_uncertainty_study_writes_every_artifact(tmp_path, capsys):
+    out = tmp_path / "study"
+    run = _script("uncertainty_study").run
+    assert run(["--config", str(_small_config(tmp_path)), "--out", str(out),
+                "--resolution", "5"]) == 0
+    target = "mixed_commercial"
+    assert sorted(p.name for p in out.iterdir()) == sorted([
+        f"fit_{target}.json", f"train_{target}.csv", f"grid_{target}_true.csv",
+        f"grid_{target}_fitted.csv", f"mae_{target}.json", f"sweep_{target}_long.csv",
+        f"sweep_{target}_summary.csv", f"sweep_{target}_matrix.csv"])
+    assert capsys.readouterr().out.splitlines()[-1] == f"all artifacts under {out.resolve()}"
