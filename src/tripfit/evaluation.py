@@ -52,6 +52,8 @@ class UncertaintySpec:
 
     def __post_init__(self):
         _require_ints(self, "trials", "m_eval")
+        if not isinstance(self.refit, bool):
+            raise TypeError(f"refit must be a boolean, got {self.refit!r}")
         for name in ("gamma_levels", "targets"):
             value = getattr(self, name)
             if not isinstance(value, (list, tuple)):

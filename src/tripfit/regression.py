@@ -150,8 +150,13 @@ class SmoothingConfig:
         if self.alpha_tau <= 0.0 or self.alpha_v <= 0.0:
             raise ValueError("steepness parameters must be > 0")
         if self.continuation_schedule is not None:
-            for a, b in self.continuation_schedule:
-                _require_reals("continuation_schedule entry", a, b)
+            if not isinstance(self.continuation_schedule, (list, tuple)):
+                raise ValueError("continuation_schedule must be a list of pairs, "
+                                 f"got {self.continuation_schedule!r}")
+            for entry in self.continuation_schedule:
+                if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                    raise ValueError(f"continuation_schedule entry must be a pair, got {entry!r}")
+                _require_reals("continuation_schedule entry", *entry)
             schedule = tuple((float(a), float(b)) for a, b in self.continuation_schedule)
             object.__setattr__(self, "continuation_schedule", schedule)
             if not schedule:

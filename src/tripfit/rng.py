@@ -9,18 +9,22 @@ in.
 Philox is counter-based (Salmon et al., "Parallel Random Numbers: As Easy as
 1, 2, 3", SC'11): block b of a stream is Philox4x64-10 applied to the counter
 (b + 1, 0, 0, 0) under a key that numpy's `SeedSequence` hashes from
-(seed, stream id, *path).  `stream_uniforms` recomputes both steps in integer
-array arithmetic, so it yields the first draws of many trial streams at once
-without building a generator per trial.  It relies on numpy's random-stream
-compatibility policy (NEP 19), under which `SeedSequence` and the bit
-generators keep their output for a given seed across numpy versions; the
-conversion of a 64-bit draw to a double in `Generator.random`, its top 53
-bits times 2**-53, is not covered by that policy, and the tests pin it with
-`rng_stream`, which stays the reference for `stream_uniforms`.
+(seed, stream id, *path).  `stream_uniforms` takes from numpy the
+`SeedSequence` pool of each cell, whose path lacks only the trial index, and
+recomputes the steps that follow in integer array arithmetic: mixing in the
+trial index, `generate_state` and Philox.  So it yields the first draws of
+many trial streams at once without building a generator per trial.  It
+relies on numpy's random-stream compatibility policy (NEP 19), under which
+`SeedSequence` and the bit generators keep their output for a given seed
+across numpy versions; the conversion of a 64-bit draw to a double in
+`Generator.random`, its top 53 bits times 2**-53, is not covered by that
+policy, and the tests pin it with `rng_stream`, which stays the reference for
+`stream_uniforms`.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -66,16 +70,9 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 
 
-def _words(n: int) -> list[int]:
-    """The little-endian uint32 words SeedSequence reads an integer as."""
-    if n < 0:
-        raise ValueError("expected non-negative integer")
-    words = [n & _M32]
-    n >>= 32
-    while n:
-        words.append(n & _M32)
-        n >>= 32
-    return words
+def _word_count(n: int) -> int:
+    """How many uint32 words SeedSequence reads a non-negative integer as."""
+    return max(1, -(-operator.index(n).bit_length() // 32))
 
 
 def _hash(value, hash_const, mult):
@@ -95,41 +92,20 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def _pool_prefix(seed: int, stream_id: int, path: Sequence[int]) -> tuple[list[int], int]:
-    """Entropy pool after every spawn word but the last, and the hash constant reached.
-
-    The entropy is the seed's words, padded with zeros to the pool size, then
-    the spawn key (stream_id, *path, trial).  The pool is first filled from
-    the leading words, then cross-mixed, then every further word is mixed in.
-    """
-    words = _words(seed)
-    words += [0] * (_POOL_SIZE - len(words))
-    words += _words(stream_id) + [w for p in path for w in _words(p)]
-    hash_const = _INIT_A
-    pool = []
-    for w in words[:_POOL_SIZE]:
-        value, hash_const = _hash(w, hash_const, _MULT_A)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hash(pool[src], hash_const, _MULT_A)
-                pool[dst] = _mix(pool[dst], value)
-    for w in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hash(w, hash_const, _MULT_A)
-            pool[dst] = _mix(pool[dst], value)
-    return pool, hash_const
-
-
 def _philox_keys(seed: int, stream_id: int, paths: Sequence[Sequence[int]],
                  trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Philox key words of the streams (seed, stream_id, *path, t), shape (paths, trials)."""
-    prefixes = [_pool_prefix(seed, stream_id, path) for path in paths]
+    # numpy mixes every spawn word but the last into each path's pool.
     # Columns of (paths, 1): paths may differ in length, and so in hash constant.
-    pool = [np.array([p[dst] for p, _ in prefixes], dtype=np.uint64)[:, None]
+    pools = [np.random.SeedSequence(seed, spawn_key=(stream_id, *path)).pool for path in paths]
+    pool = [np.array([p[dst] for p in pools], dtype=np.uint64)[:, None]
             for dst in range(_POOL_SIZE)]
-    hash_const = np.array([h for _, h in prefixes], dtype=np.uint64)[:, None]
+    # Every word mixed in so far took one hash step per pool entry; the seed's
+    # words are padded with zeros to the pool size.
+    words = [max(_POOL_SIZE, _word_count(seed)) + _word_count(stream_id)
+             + sum(map(_word_count, path)) for path in paths]
+    hash_const = np.array([_INIT_A * pow(_MULT_A, _POOL_SIZE * w, 2**32) & _M32 for w in words],
+                          dtype=np.uint64)[:, None]
     # The last spawn word, the trial index, is hashed as an array.
     t = np.arange(trials, dtype=np.uint64)
     for dst in range(_POOL_SIZE):

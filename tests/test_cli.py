@@ -2,6 +2,9 @@ import hashlib
 import importlib.util
 import json
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -509,6 +512,16 @@ _TYPED_LIBRARY = {
      "smoothing: continuation_schedule entry must be a real number, got '10'"),
     ({"uncertainty": {"gamma_levels": [False, 0.4]}}, None,
      "uncertainty: gamma_levels entry must be a real number, got False"),
+    ({"uncertainty": {"refit": "no"}}, None, "uncertainty: refit must be a boolean, got 'no'"),
+    ({"uncertainty": {"refit": 1}}, None, "uncertainty: refit must be a boolean, got 1"),
+    ({"smoothing": {"continuation_schedule": [[10.0]]}}, None,
+     "smoothing: continuation_schedule entry must be a pair, got [10.0]"),
+    ({"smoothing": {"continuation_schedule": [5]}}, None,
+     "smoothing: continuation_schedule entry must be a pair, got 5"),
+    ({"smoothing": {"continuation_schedule": "ab"}}, None,
+     "smoothing: continuation_schedule must be a list of pairs, got 'ab'"),
+    ({"smoothing": {"continuation_schedule": {"a": 1}}}, None,
+     "smoothing: continuation_schedule must be a list of pairs, got {'a': 1}"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
     if library is not None:
@@ -552,3 +565,18 @@ def test_uncertainty_study_writes_every_artifact(tmp_path, capsys):
         f"grid_{target}_fitted.csv", f"mae_{target}.json", f"sweep_{target}_long.csv",
         f"sweep_{target}_summary.csv", f"sweep_{target}_matrix.csv"])
     assert capsys.readouterr().out.splitlines()[-1] == f"all artifacts under {out.resolve()}"
+
+
+def test_bench_trace_run_patches_every_name(tmp_path):
+    # `bench/tracing.py` replaces names in `tripfit` modules, such as
+    # `regression.minimize` and `evaluation.perturb_fractions`; a renamed or
+    # removed one fails the traced run.
+    for name in ("bench", "src", "configs"):
+        shutil.copytree(REPO_ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run([sys.executable, "bench/run.py", "--workload", "mc_sweep", "--seed", "3",
+                           "--trace", "1"], cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr

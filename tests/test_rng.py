@@ -1,4 +1,5 @@
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -7,9 +8,9 @@ from tripfit.rng import STREAM_IDS, rng_stream, stream_uniforms
 # Seeds of one, two, two and three uint32 words: SeedSequence pads the first
 # three to its pool size of four words.
 SEEDS = (0, 2**32, 2**63 - 1, 2**64 + 12345)
-# Cell paths as the Monte Carlo engine builds them, plus a path element that
-# spans two words.
-PATHS = ((), (3,), (0, 7), (8, 8), (2**33 + 1, 2))
+# Cell paths as the Monte Carlo engine builds them, plus path elements that
+# span two and three words.
+PATHS = ((), (3,), (0, 7), (8, 8), (2**33 + 1, 2), (2**64 + 3,))
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_IDS))
@@ -37,6 +38,21 @@ def test_stream_uniforms_match_rng_stream_anywhere(seed, name, paths, trials, n)
     for path, cell in zip(paths, draws):
         for t, row in enumerate(cell):
             assert row.tolist() == rng_stream(seed, name, *path, t).random(n).tolist()
+
+
+def test_stream_uniforms_builds_one_seed_sequence_per_path(monkeypatch):
+    # Only the trial index is hashed per trial; a SeedSequence per trial would
+    # cost tens of microseconds each.
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        built.append(kwargs.get("spawn_key"))
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    stream_uniforms(7, "sweep", PATHS, 200, 3)
+    assert built == [(STREAM_IDS["sweep"], *path) for path in PATHS]
 
 
 def test_stream_uniforms_rejects_unknown_stream_and_wide_trial_index():
