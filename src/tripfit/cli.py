@@ -4,7 +4,7 @@ Each verb reads one JSON project config and writes its artifacts (CSV and
 JSON, plot-ready) under the configured output directory.  Every output file
 embeds the materialized config and seed, so reruns at a fixed seed reproduce
 files byte for byte.  Exit codes: 0 success, 1 fit did not converge,
-2 configuration, input or usage error.
+2 configuration, input, output or usage error.
 """
 
 from __future__ import annotations
@@ -139,10 +139,8 @@ def cmd_grid(cfg: ProjectConfig, target: str, grid_target: str, resolution: int)
     path = cfg.output_dir / f"grid_{target}_{grid_target}.csv"
     comments = _comment_lines(cfg, target=target, grid_target=grid_target,
                               rows="tau_f_s", columns="v_f_pct")
-    _write_csv(path, comments, ["tau_s"] + [repr(float(v)) for v in v_grid], (
-        [repr(float(tau))] + [repr(float(x)) for x in matrix[i]]
-        for i, tau in enumerate(tau_grid)
-    ))
+    _write_csv(path, comments, ["tau_s", *v_grid],
+               ([tau, *row] for tau, row in zip(tau_grid, matrix)))
     print(f"grid {target}/{grid_target}: {resolution}x{resolution} -> {path}")
     return 0
 
@@ -175,7 +173,7 @@ def cmd_sweep(cfg: ProjectConfig, target: str) -> int:
                                sampler=cfg.sampler, smoothing=cfg.smoothing,
                                fit_config=cfg.fit)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    comments = _comment_lines(cfg, target=target, nominal_mae=repr(report.nominal_mae))
+    comments = _comment_lines(cfg, target=target, nominal_mae=report.nominal_mae)
     sweep_long_csv(report, cfg.output_dir / f"sweep_{target}_long.csv", comments)
     sweep_summary_csv(report, cfg.output_dir / f"sweep_{target}_summary.csv", comments)
     for stats in report.levels:
@@ -242,7 +240,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.motor)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, SamplingError) as exc:
+    except (ConfigError, SamplingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

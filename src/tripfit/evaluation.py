@@ -155,26 +155,29 @@ def perturb_fractions(c: CompositeProtection, gammas: Mapping[str, float]) -> Co
     return CompositeProtection(tuple((s, pi / total) for s, pi in scaled))
 
 
-def _maes(approx: np.ndarray, fractions: np.ndarray, patterns: np.ndarray, inverse: np.ndarray,
-          buf: np.ndarray) -> np.ndarray:
-    """Per-row MAE of `approx` against the composites with these fraction rows.
+# Trials scored at once; bounds the (trials x m_eval) work array.
+_BLOCK_TRIALS = 32
+
+
+def _maes(approx: np.ndarray, fractions: np.ndarray, patterns: np.ndarray,
+          inverse: np.ndarray) -> np.ndarray:
+    """Per-row MAE of `approx`, one row per fraction row, against those composites.
 
     patterns holds the distinct columns of the schemes' connectivity and
     inverse the column of each evaluation point, so each composite is summed
-    once per pattern and gathered into the leading rows of buf, a C-contiguous
-    (rows, points) work array.  A row mean over a C-contiguous array sums as
+    once per pattern, then gathered and scored _BLOCK_TRIALS rows at a time.
+    A row mean over a C-contiguous array, such as the fresh gather, sums as
     one over a fresh `np.abs(approx - truth)` does; a fancy-indexed gather is
     not C-contiguous, and its row means differed in the last bit.
     """
-    out = buf[:len(fractions)]
-    # mode="raise", the default, gathers into a fresh array and copies it to out.
-    np.take(accumulate(fractions, patterns), inverse, axis=1, out=out, mode="wrap")
-    np.subtract(approx, out, out=out)
-    return np.abs(out, out=out).mean(axis=1)
-
-
-# Trials scored at once; bounds the (trials x m_eval) work array.
-_BLOCK_TRIALS = 32
+    values = accumulate(fractions, patterns)
+    out = np.empty(len(fractions))
+    for start in range(0, len(fractions), _BLOCK_TRIALS):
+        rows = slice(start, start + _BLOCK_TRIALS)
+        block = np.take(values[rows], inverse, axis=1)
+        np.subtract(approx[rows], block, out=block)
+        out[rows] = np.abs(block, out=block).mean(axis=1)
+    return out
 
 
 def _monte_carlo(
@@ -195,14 +198,15 @@ def _monte_carlo(
     seed from the same stream.  The gammas of a whole row of cells come from
     `stream_uniforms` at once.  Evaluation points are fixed for the whole
     study, and every composite is linear in its fractions, so the schemes'
-    connectivity is evaluated once, reduced to its distinct patterns, and
-    trials are scored in blocks.
+    connectivity is evaluated once and reduced to its distinct patterns.
     """
+    missing = {name for group in groups for name in group} - set(c_nominal.names)
+    if missing:
+        raise ValueError(f"{stream} targets not in composite: {sorted(missing)}")
     tau, v = lhs_box(rng_stream(spec.seed, "sweep_eval"), spec.m_eval)
     schemes = [scheme for scheme, _ in c_nominal.entries]
     patterns, inverse = np.unique(c_nominal.connectivity(tau, v), axis=1, return_inverse=True)
     inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it with shape (1, points)
-    buf = np.empty((_BLOCK_TRIALS, spec.m_eval))
     nominal = c_nominal.fractions
     approx = harden(fitted).evaluate(tau, v)
     columns = [c_nominal.names.index(name) for group in groups for name in group]
@@ -221,24 +225,22 @@ def _monte_carlo(
             # Generator.uniform(-level, level), term for term.
             gammas[:, columns] = -bound + (bound - -bound) * u
             fractions = _perturbed(nominal, gammas)
-            for start in range(0, spec.trials, _BLOCK_TRIALS):
-                stop = min(start + _BLOCK_TRIALS, spec.trials)
-                block_approx = approx
-                if refit_ctx is not None:
-                    sampler, smoothing, fit_cfg = refit_ctx
-                    block_approx = np.empty((stop - start, spec.m_eval))
-                    for row, t in enumerate(range(start, stop)):
-                        rng = rng_stream(spec.seed, stream, *cell, t)
-                        rng.random(len(columns))  # the trial's gammas
-                        trial_seed = int(rng.integers(0, 2**63 - 1))
-                        actual = CompositeProtection(tuple(zip(schemes, fractions[t])))
-                        data = sample_training(actual, replace(sampler, seed=trial_seed))
-                        result = fit(data, smoothing, replace(fit_cfg, seed=trial_seed))
-                        not_converged[cell] += not result.converged
-                        block_approx[row] = harden(result.model).evaluate(tau, v)
-                maes[cell][start:stop] = _maes(block_approx, fractions[start:stop], patterns,
-                                               inverse, buf)
-    nominal_mae = float(_maes(approx, nominal[None, :], patterns, inverse, buf)[0])
+            if refit_ctx is None:
+                trial_approx = np.broadcast_to(approx, (spec.trials, spec.m_eval))
+            else:
+                sampler, smoothing, fit_cfg = refit_ctx
+                trial_approx = np.empty((spec.trials, spec.m_eval))
+                for t in range(spec.trials):
+                    rng = rng_stream(spec.seed, stream, *cell, t)
+                    rng.random(len(columns))  # the trial's gammas
+                    trial_seed = int(rng.integers(0, 2**63 - 1))
+                    actual = CompositeProtection(tuple(zip(schemes, fractions[t])))
+                    data = sample_training(actual, replace(sampler, seed=trial_seed))
+                    result = fit(data, smoothing, replace(fit_cfg, seed=trial_seed))
+                    not_converged[cell] += not result.converged
+                    trial_approx[t] = harden(result.model).evaluate(tau, v)
+            maes[cell] = _maes(trial_approx, fractions, patterns, inverse)
+    nominal_mae = float(_maes(approx[None], nominal[None], patterns, inverse)[0])
     return nominal_mae, maes, not_converged
 
 
@@ -259,9 +261,6 @@ def uncertainty_sweep(
     streams derive from (seed, level index, trial index).
     """
     targets = spec.targets if spec.targets else c_nominal.names
-    missing = set(targets) - set(c_nominal.names)
-    if missing:
-        raise ValueError(f"sweep targets not in composite: {sorted(missing)}")
     refit_ctx = None
     if spec.refit:
         if sampler is None or smoothing is None or fit_config is None:
@@ -292,10 +291,6 @@ def uncertainty_matrix(
     if spec.matrix_targets is None:
         raise ValueError("matrix mode needs matrix_targets, a pair of scheme names")
     target_a, target_b = spec.matrix_targets
-    missing = {target_a, target_b} - set(c_nominal.names)
-    if missing:
-        raise ValueError(f"matrix targets not in composite: {sorted(missing)}")
-
     _, maes, _ = _monte_carlo(c_nominal, fitted, spec, "matrix", ((target_a,), (target_b,)))
     return MatrixReport(target_a, target_b, spec.gamma_levels, maes.mean(axis=-1))
 
@@ -303,23 +298,20 @@ def uncertainty_matrix(
 def sweep_long_csv(report: SweepReport, path: str | Path, comments: list[str] | None = None) -> None:
     """One row per (level, trial): level,trial,mae."""
     _write_csv(path, comments, ["level", "trial", "mae"], (
-        [repr(stats.level), t, repr(float(value))]
-        for stats in report.levels for t, value in enumerate(stats.maes)
+        [stats.level, t, value] for stats in report.levels for t, value in enumerate(stats.maes)
     ))
 
 
 def sweep_summary_csv(report: SweepReport, path: str | Path, comments: list[str] | None = None) -> None:
     """One row per level: level,mean,p12.5,p87.5."""
     _write_csv(path, comments, ["level", "mean", "p12.5", "p87.5"], (
-        [repr(stats.level), repr(stats.mean), repr(stats.p12_5), repr(stats.p87_5)]
-        for stats in report.levels
+        [stats.level, stats.mean, stats.p12_5, stats.p87_5] for stats in report.levels
     ))
 
 
 def matrix_csv(report: MatrixReport, path: str | Path, comments: list[str] | None = None) -> None:
     """Level-by-level grid of mean MAE; rows follow target_a, columns target_b."""
-    header = [f"{report.target_a}\\{report.target_b}"] + [repr(level) for level in report.levels]
+    header = [f"{report.target_a}\\{report.target_b}", *report.levels]
     _write_csv(path, comments, header, (
-        [repr(level)] + [repr(float(x)) for x in report.mean_mae[i]]
-        for i, level in enumerate(report.levels)
+        [level, *row] for level, row in zip(report.levels, report.mean_mae)
     ))

@@ -17,6 +17,7 @@ the smoothing is a fitting device only.
 from __future__ import annotations
 
 import ctypes
+import dataclasses
 import functools
 import importlib.machinery
 import importlib.util
@@ -213,32 +214,21 @@ class FitResult:
     diagnostics: dict
 
     def to_jsonable(self) -> dict:
-        return {
-            "model": model_to_jsonable(self.model),
-            "final_cost": self.final_cost,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "start_index": self.start_index,
-            "diagnostics": self.diagnostics,
-        }
+        return {**dataclasses.asdict(self), "model": model_to_jsonable(self.model)}
+
+
+# The JSON names of SimplifiedModel's fields, in field order.
+_MODEL_KEYS = ("pi1", "tau1_star_s", "v1_star_pct", "pi2", "tau2_star_s", "v2_star_pct")
 
 
 def model_to_jsonable(m: SimplifiedModel) -> dict:
-    return {
-        "pi1": m.pi1,
-        "tau1_star_s": m.tau1_star,
-        "v1_star_pct": m.v1_star,
-        "pi2": m.pi2,
-        "tau2_star_s": m.tau2_star,
-        "v2_star_pct": m.v2_star,
-    }
+    return dict(zip(_MODEL_KEYS, dataclasses.astuple(m)))
 
 
 def model_from_jsonable(doc: dict) -> SimplifiedModel:
-    return SimplifiedModel(
-        doc["pi1"], doc["tau1_star_s"], doc["v1_star_pct"],
-        doc["pi2"], doc["tau2_star_s"], doc["v2_star_pct"],
-    )
+    values = [doc[key] for key in _MODEL_KEYS]
+    _require_reals("model parameter", *values)
+    return SimplifiedModel(*values)
 
 
 def _sigmoid_pair(x, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -87,7 +87,10 @@ class SamplerConfig:
 
 
 def _write_csv(path: str | Path, comments: list[str] | None, header: list, rows) -> None:
-    """Write each comment as a `# line`, then the header and rows as CSV."""
+    """Write each comment as a `# line`, then the header and rows as CSV.
+
+    Numbers are written in their shortest round-trip form, as repr gives a float.
+    """
     with open(path, "w", newline="") as fh:
         for line in comments or []:
             fh.write(f"# {line}\n")
@@ -117,10 +120,8 @@ class Dataset:
 
     def to_csv(self, path: str | Path, comments: list[str] | None = None) -> None:
         """Write `tau_f_s,v_f_pct,y` rows at full (round-trip) precision."""
-        _write_csv(path, comments, ["tau_f_s", "v_f_pct", "y"], (
-            [repr(float(t)), repr(float(v)), repr(float(y))]
-            for t, v, y in zip(self.tau_f, self.v_f, self.y)
-        ))
+        _write_csv(path, comments, ["tau_f_s", "v_f_pct", "y"],
+                   zip(self.tau_f, self.v_f, self.y))
 
 
 def weight(tau_f, v_f, cfg: SamplerConfig):

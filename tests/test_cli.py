@@ -410,6 +410,16 @@ def test_cli_unreachable_sampling_region_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_unwritable_output_exit_code(tmp_path, capsys):
+    path = _small_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    out = blocker / "sub"
+    assert main(["fit", "--config", str(path), "--motor", "C", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda raw: raw[:len(raw) // 2], "is not valid JSON"),
     (lambda raw: b"[]", "is not a fit result with a config object"),
@@ -419,7 +429,10 @@ def test_cli_unreachable_sampling_region_exit_code(tmp_path, capsys):
      "is not valid JSON: 'utf-8' codec can't decode byte 0xe9"),
     (lambda raw: re.sub(rb'"final_cost": [^,]+', b'"final_cost": NaN', raw),
      "is not valid JSON: NaN is not a finite number"),
-], ids=["truncated", "top_level_list", "no_model", "bad_byte", "nan"])
+    (lambda raw: re.sub(rb'"pi2": [^,]+', b'"pi2": 0',
+                        re.sub(rb'"pi1": [^,]+', b'"pi1": true', raw)),
+     "holds no valid model (TypeError('model parameter must be a real number, got True'))"),
+], ids=["truncated", "top_level_list", "no_model", "bad_byte", "nan", "bool_param"])
 def test_cli_rejects_malformed_fit_result(tmp_path, capsys, corrupt, message):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0

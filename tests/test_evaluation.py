@@ -24,7 +24,6 @@ from tripfit import (
     uncertainty_sweep,
 )
 from tripfit.evaluation import (
-    _BLOCK_TRIALS,
     _maes,
     matrix_csv,
     sweep_long_csv,
@@ -277,15 +276,12 @@ def test_maes_matches_accumulate_then_abs(refit):
     tau, v = lhs_box(rng, 900)
     conn = comp.connectivity(tau, v)
     patterns, inverse = np.unique(conn, axis=1, return_inverse=True)
-    buf = np.empty((_BLOCK_TRIALS, tau.size))
-    # 70 rows: two full blocks and a partial last one, all through one buffer.
+    # 70 rows: two full blocks and a partial last one.
     fractions = rng.dirichlet(np.ones(len(comp.names)), 70)
     approx = rng.uniform(size=(70, tau.size) if refit else tau.size)
-    for start in range(0, 70, _BLOCK_TRIALS):
-        rows = slice(start, start + _BLOCK_TRIALS)
-        block_approx = approx[rows] if refit else approx
-        got = _maes(block_approx, fractions[rows], patterns, inverse.reshape(-1), buf)
-        assert got.tolist() == _accumulate_then_abs(block_approx, fractions[rows], conn).tolist()
+    got = _maes(np.broadcast_to(approx, (70, tau.size)), fractions, patterns,
+                inverse.reshape(-1))
+    assert got.tolist() == _accumulate_then_abs(approx, fractions, conn).tolist()
 
 
 def test_non_refit_study_builds_no_stream_per_trial(monkeypatch):
@@ -371,6 +367,12 @@ def test_matrix_requires_two_targets(fitted_pair):
     # The sweep's targets are not the matrix's.
     with pytest.raises(ValueError, match="needs matrix_targets"):
         uncertainty_matrix(comp, model, UncertaintySpec(targets=("Z1", "Z2"), trials=30))
+
+
+def test_matrix_rejects_target_missing_from_composite():
+    spec = UncertaintySpec(matrix_targets=("S1", "S9"), trials=30)
+    with pytest.raises(ValueError, match=r"matrix targets not in composite: \['S9'\]"):
+        uncertainty_matrix(_five_scheme_composite(), TWO_BLOCK_TRUTH, spec)
 
 
 # -------------------------------------------------------------------- CSV

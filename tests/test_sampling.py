@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 from dataclasses import replace
@@ -16,7 +17,7 @@ from tripfit import (
     weight,
 )
 from tripfit.rng import rng_stream
-from tripfit.sampling import lhs_box, lhs_unit
+from tripfit.sampling import _write_csv, lhs_box, lhs_unit
 
 
 # ---------------------------------------------------------------- weight
@@ -189,6 +190,31 @@ def test_dataset_csv_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "# seed: 2"
     assert text[2] == "tau_f_s,v_f_pct,y"
+
+
+# Zeros, subnormals, and neighbours of 1e-4 and 1e16, where repr switches
+# between positional and exponent form.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-4, 1e16] + [
+    float(np.nextafter(x, toward)) for x in (1e-4, -1e-4, 1e16, -1e16)
+    for toward in (-np.inf, np.inf)
+]
+_FINITE_FLOATS = st.one_of(
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(0, 2**64 - 1).map(
+        lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+    ).filter(math.isfinite),
+)
+
+
+@given(st.lists(st.tuples(_FINITE_FLOATS, st.integers()), min_size=1, max_size=20))
+def test_write_csv_numbers_read_back_as_repr(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "numbers.csv"
+    _write_csv(path, ["demo"], ["float", "float64", "int"],
+               ([x, np.float64(x), n] for x, n in rows))
+    with open(path, newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[:2] == [["# demo"], ["float", "float64", "int"]]
+    assert lines[2:] == [[repr(x), repr(x), str(n)] for x, n in rows]
 
 
 def test_dataset_csv_header_check(tmp_path):
