@@ -67,12 +67,12 @@ _LBFGSB = _load_lbfgsb()
 # pins fit to the public scipy.optimize.minimize loop it mirrors.
 _setulb = _LBFGSB.setulb
 
-# Importing scipy.optimize freed blocks of a few hundred KiB, which raised
-# glibc's dynamic mmap threshold and, at twice that, its heap-trim threshold.
-# Without that import, a default fit's temporaries trim and regrow the heap,
-# ≈ 2 700 minor page faults and ≈ 12 % more CPU a fit.  Freeing one untouched
-# 4 MiB block raises both thresholds the same way; other allocators just map
-# and unmap it.
+# Freeing one untouched 4 MiB block raises glibc's dynamic mmap threshold and,
+# at twice that, its heap-trim threshold; other allocators just map and unmap
+# it.  Without it, the fresh temporaries of _cost_grad_reduced and _maes's
+# 512 KB gathers trim and regrow the heap: ≈ 6 400 minor faults a default fit
+# instead of 0, ≈ 19 800 a sweep plus matrix at the example spec instead of 0.
+# The start-up probe in tests/test_regression.py pins both.
 np.empty(4 << 20, dtype=np.uint8)
 
 
@@ -269,10 +269,10 @@ def _cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v):
 
     theta is one parameter vector (5,) or a stack of them (S, 5); the result
     is cost () and gradient (5,), or costs (S,) and gradients (S, 5).  Each
-    row's blocks are built from its stacked thresholds, and its six per-point
-    products are rows of one C-contiguous (..., 6, N) array.  Each mean over
-    the last axis is the same pairwise sum as a 1-D np.mean, so every row is
-    bit-identical to evaluating that row alone, block by block.
+    row's blocks are built from its stacked thresholds.  Each of its six means
+    is taken over the last axis of a fresh C-contiguous product, the same
+    pairwise sum as a 1-D np.mean, so every row is bit-identical to evaluating
+    that row alone, block by block.
     """
     pi1 = theta[..., 0]
     pi2 = 1.0 - pi1
@@ -282,16 +282,13 @@ def _cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v):
     r = pi1[..., None] * b1 + pi2[..., None] * b2 - y
     # dJ/dtheta_k = mean(r * dFhat/dtheta_k); dh(z)/dx_star = -alpha h(z) h(-z),
     # with both tails taken from the block kernel rather than formed as 1 - h.
-    p = np.empty(r.shape[:-1] + (6, r.shape[-1]))
-    np.multiply(r, r, out=p[..., 0, :])
-    np.multiply(r, b1 - b2, out=p[..., 1, :])
     r_st = r[..., None, :] * st
-    np.multiply(r_st * st_c, sv_c, out=p[..., 2:4, :])  # tau_star rows, block 1 then 2
-    np.multiply(r_st * sv, sv_c, out=p[..., 4:6, :])    # v_star rows
-    m = p.mean(axis=-1)
-    g = np.stack([m[..., 1], pi1 * alpha_tau * m[..., 2], -pi1 * alpha_v * m[..., 4],
-                  pi2 * alpha_tau * m[..., 3], -pi2 * alpha_v * m[..., 5]], axis=-1)
-    return 0.5 * m[..., 0], g
+    m_tau = (r_st * st_c * sv_c).mean(axis=-1)  # tau_star, block 1 then 2
+    m_v = (r_st * sv * sv_c).mean(axis=-1)      # v_star
+    g = np.stack([(r * (b1 - b2)).mean(axis=-1), pi1 * alpha_tau * m_tau[..., 0],
+                  -pi1 * alpha_v * m_v[..., 0], pi2 * alpha_tau * m_tau[..., 1],
+                  -pi2 * alpha_v * m_v[..., 1]], axis=-1)
+    return 0.5 * (r * r).mean(axis=-1), g
 
 
 def _cost_reduced(theta, tau, v, y, alpha_tau, alpha_v) -> float:

@@ -525,6 +525,11 @@ def _minimize_cases():
         yield (f"n_train-{n_train}", lib.composite("B"),
                SamplerConfig(n_train=n_train, m_eval=10 * n_train, seed=n_train),
                SmoothingConfig(), FitConfig(n_starts=8, seed=n_train))
+    # One of these starts is worse after continuation than its raw point at the
+    # final steepness, so fit restarts it from that point.
+    yield ("restart", lib.composite("D"), SamplerConfig(seed=4),
+           SmoothingConfig(continuation_schedule=((1.0, 0.05), (1e3, 1e2))),
+           FitConfig(n_starts=8, seed=4))
 
 
 def test_fit_matches_per_start_minimize():
@@ -541,19 +546,29 @@ def test_fit_matches_per_start_minimize():
 _STARTUP_PROBE = """
 import json, platform, resource, sys
 import tripfit.cli
-from tripfit import (FitConfig, SamplerConfig, SmoothingConfig, default_library, fit,
-                     regression, sample_training)
+from tripfit import (FitConfig, SamplerConfig, SmoothingConfig, UncertaintySpec, default_library,
+                     fit, regression, sample_training, uncertainty_matrix, uncertainty_sweep)
 libs = regression._SCIPY_DIR.parent / "scipy.libs"
 out = {"optimize_loaded": "scipy.optimize" in sys.modules,
        "ships_openblas": any(libs.glob("libscipy_openblas*")),
        "blas_found": regression._scipy_openblas() is not None,
        "glibc": platform.libc_ver()[0] == "glibc"}
-d = sample_training(default_library().composite("mixed_commercial"), SamplerConfig(seed=1))
-fit(d, SmoothingConfig(), FitConfig(seed=1))
+comp = default_library().composite("mixed_commercial")
+d = sample_training(comp, SamplerConfig(seed=1))
+model = fit(d, SmoothingConfig(), FitConfig(seed=1)).model
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for seed in (2, 3, 4):
     fit(d, SmoothingConfig(), FitConfig(seed=seed))
 out["faults_per_fit"] = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 3
+# The example project's study: its levels with the zero level, 200 trials, m_eval 2 000.
+spec = UncertaintySpec(gamma_levels=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8),
+                       trials=200, seed=20240501, m_eval=2000,
+                       matrix_targets=("P2", "P1-P4-P5"))
+for _ in range(2):  # the first call warms up
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    uncertainty_sweep(comp, model, spec)
+    uncertainty_matrix(comp, model, spec)
+    out["faults_per_sweep"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 import scipy.optimize._lbfgsb as lbfgsb
 out["same_setulb"] = regression._setulb is lbfgsb.setulb
 print(json.dumps(out))
@@ -572,10 +587,16 @@ def test_import_skips_scipy_optimize_and_keeps_blas_cap():
     # Without the library the one-thread tests below only skip, so check it here.
     if probe["ships_openblas"]:
         assert probe["blas_found"]
-    # A default fit's temporaries must not trim and regrow glibc's heap: ≈ 2 700
-    # faults a fit without the 4 MiB block regression.py frees at import, ≈ 2 with it.
+    # The fresh temporaries of a fit and of a sweep must not trim and regrow
+    # glibc's heap.  Minor faults, with and without the 4 MiB block that
+    # regression.py frees at import:
+    #
+    #                      per fit    per sweep + matrix
+    #   with the block         0           0
+    #   without it         6 365      19 782
     if probe["glibc"]:
         assert probe["faults_per_fit"] < 100
+        assert probe["faults_per_sweep"] < 1000
     assert probe["same_setulb"]
 
 
