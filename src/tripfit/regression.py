@@ -348,12 +348,13 @@ def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray
 
     Each row is its own solve, step for step the loop of
     scipy.optimize.minimize(method="L-BFGS-B", jac=True) with ftol=ptol,
-    gtol=gtol and maxiter=max_iters: START is served from the evaluation at
-    x0, an iteration is counted at each NEW_X, and a solve stops once it has
-    done max_iters iterations or more than 15 000 evaluations.  A point equal
-    to the last evaluated one reuses its f and g, as scipy's memoization does.
-    The rows that ask for f and g in the same round share one fun_grad call on
-    the stacked points.  Returns the final points (S, n) and iteration counts.
+    gtol=gtol and maxiter=max_iters: an iteration is counted at each NEW_X,
+    and a solve stops once it has done max_iters iterations or more than
+    15 000 evaluations.  Every request for f and g is evaluated and counted,
+    so a repeated point counts toward that cap, where scipy's memoization
+    would serve it uncounted.  The rows that ask for f and g in the same round
+    share one fun_grad call on the stacked points; the first round serves
+    every row's START.  Returns the final points (S, n) and iteration counts.
     """
     n_rows, n = x0.shape
     m = _LBFGSB_M
@@ -366,9 +367,7 @@ def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray
                     np.zeros((n_rows, 3 * n), np.int32), np.zeros((n_rows, 2), np.int32),
                     np.zeros((n_rows, 4), np.int32), np.zeros((n_rows, 44), np.int32),
                     np.zeros((n_rows, 29)), np.zeros((n_rows, 2), np.int32)))
-    seen_x = x0.copy()
-    seen_f, seen_g = fun_grad(x0)
-    nfev = np.ones(n_rows, dtype=int)
+    nfev = np.zeros(n_rows, dtype=int)
     iters = [0] * n_rows
     active = range(n_rows)
     while active:
@@ -388,14 +387,10 @@ def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray
                     task[:] = _TASK_STOP, 504
                 elif nfev[k] > _LBFGSB_MAXFUN:
                     task[:] = _TASK_STOP, 502
-        asking = np.array(asking, dtype=np.intp)
-        fresh = asking[(x[asking] != seen_x[asking]).any(axis=1)]
-        if fresh.size:
-            seen_x[fresh] = x[fresh]
-            seen_f[fresh], seen_g[fresh] = fun_grad(seen_x[fresh])
-            nfev[fresh] += 1
-        fx[asking], gx[asking] = seen_f[asking], seen_g[asking]
-        active = asking.tolist()
+        if asking:
+            fx[asking], gx[asking] = fun_grad(x[asking])
+            nfev[asking] += 1
+        active = asking
     return x, iters
 
 

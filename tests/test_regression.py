@@ -454,7 +454,7 @@ def test_fit_unchanged_under_per_block_kernel(monkeypatch):
     assert fit(d, SmoothingConfig(), f).to_jsonable() == stacked
 
 
-def _per_start_minimize_fit(d, s, f):
+def _per_start_minimize_fit(d, s, f, maxfun=15000):
     """Reference fit: each start driven through scipy.optimize.minimize, one at a time."""
     from scipy.optimize import minimize
 
@@ -470,7 +470,7 @@ def _per_start_minimize_fit(d, s, f):
         return fval, g * _SPAN
 
     starts = lhs_unit(rng_stream(f.seed, "multistart"), f.n_starts, 5)
-    options = {"maxiter": f.max_iters, "ftol": f.ptol, "gtol": f.gtol}
+    options = {"maxiter": f.max_iters, "ftol": f.ptol, "gtol": f.gtol, "maxfun": maxfun}
     best = None
     start_costs, start_iters, start_conv = [], [], []
     for k in range(f.n_starts):
@@ -539,6 +539,20 @@ def test_fit_matches_per_start_minimize():
         d = sample_training(comp, sampler)
         expected = _per_start_minimize_fit(d, smoothing, fit_cfg).to_jsonable()
         assert fit(d, smoothing, fit_cfg).to_jsonable() == expected, name
+
+
+def test_fit_matches_per_start_minimize_at_evaluation_cap(monkeypatch):
+    # Default fits stop far below the 15 000-evaluation cap; a small cap makes
+    # the solves stop on it, as minimize's maxfun would.
+    lib = default_library()
+    cases = [(target, sample_training(lib.composite(target), SamplerConfig(seed=seed)),
+              FitConfig(n_starts=5, seed=seed))
+             for target, seed in (("mixed_commercial", 4), ("D", 5), ("A", 6))]
+    for maxfun in (3, 6, 11):
+        monkeypatch.setattr(regression, "_LBFGSB_MAXFUN", maxfun)
+        for target, d, f in cases:
+            expected = _per_start_minimize_fit(d, SmoothingConfig(), f, maxfun).to_jsonable()
+            assert fit(d, SmoothingConfig(), f).to_jsonable() == expected, (maxfun, target)
 
 
 # ---------------------------------------------------------------- start-up
