@@ -9,8 +9,7 @@ Layout (all sections optional except protection_library; defaults shown by
       "seed": 20240501,
       "sampler":   {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5,
                     "n_train": 200, "m_eval": 5000},
-      "smoothing": {"alpha_tau": 50.0, "alpha_v": 2.0,
-                    "continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
+      "smoothing": {"continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
       "fit":       {"n_starts": 20, "max_iters": 400, "gtol": 1e-5, "ptol": 1e-12},
       "uncertainty": {"gamma_levels": [0.1, ..., 0.8], "targets": [],
                       "trials": 200, "refit": false, "m_eval": 2000,
@@ -19,11 +18,11 @@ Layout (all sections optional except protection_library; defaults shown by
     }
 
 The global seed feeds every stochastic stage; named RNG streams keep them
-independent, and a `seed` inside a section is rejected.  `smoothing.alpha_tau`
-and `alpha_v` set the fit's steepness only when `continuation_schedule` is
-null; otherwise the schedule's stages do.  The fully materialized
-configuration is echoed into every output file, so any artifact can be
-re-derived exactly.
+independent, and a `seed` inside a section is rejected.  The fit's steepness
+is set by `smoothing.continuation_schedule` alone: one (alpha_tau, alpha_v)
+pair per stage, a single pair for a fit without continuation.  The fully
+materialized configuration is echoed into every output file, so any artifact
+can be re-derived exactly.
 """
 
 from __future__ import annotations

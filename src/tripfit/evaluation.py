@@ -39,7 +39,8 @@ class UncertaintySpec:
     and reproduces the nominal composite exactly); targets names the schemes
     to perturb (empty tuple = all).  With refit=False the nominal fit is
     scored against each perturbed truth; refit=True refits per trial.
-    matrix_targets, when set, names the two schemes of the level-pair matrix.
+    matrix_targets, when set, names the two schemes of the level-pair matrix,
+    which always scores the nominal fit, even with refit=True.
     """
 
     gamma_levels: tuple[float, ...] = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)

@@ -137,44 +137,31 @@ class SimplifiedModel:
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Logistic steepness (1/s for tau, 1/% for v) and optional continuation."""
+    """The logistic steepness stages fit walks: increasing (alpha_tau 1/s, alpha_v 1/%) pairs."""
 
-    alpha_tau: float = 50.0
-    alpha_v: float = 2.0
-    # Three continuation stages at 0.2x, 1x and 5x the default steepness.
-    continuation_schedule: tuple[tuple[float, float], ...] | None = (
+    # Three continuation stages at 0.2x, 1x and 5x the steepness (50, 2).
+    continuation_schedule: tuple[tuple[float, float], ...] = (
         (10.0, 0.4), (50.0, 2.0), (250.0, 10.0))
 
     def __post_init__(self):
-        for name in ("alpha_tau", "alpha_v"):
-            _require_reals(name, getattr(self, name))
-        if self.alpha_tau <= 0.0 or self.alpha_v <= 0.0:
-            raise ValueError("steepness parameters must be > 0")
-        if self.continuation_schedule is not None:
-            if not isinstance(self.continuation_schedule, (list, tuple)):
-                raise ValueError("continuation_schedule must be a list of pairs, "
-                                 f"got {self.continuation_schedule!r}")
-            for entry in self.continuation_schedule:
-                if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                    raise ValueError(f"continuation_schedule entry must be a pair, got {entry!r}")
-                _require_reals("continuation_schedule entry", *entry)
-            schedule = tuple((float(a), float(b)) for a, b in self.continuation_schedule)
-            object.__setattr__(self, "continuation_schedule", schedule)
-            if not schedule:
-                raise ValueError("continuation_schedule must be None or non-empty")
-            prev = (0.0, 0.0)
-            for at, av in schedule:
-                if at <= 0.0 or av <= 0.0:
-                    raise ValueError("steepness parameters must be > 0")
-                if at <= prev[0] or av <= prev[1]:
-                    raise ValueError("continuation_schedule must increase in both components")
-                prev = (at, av)
-
-    def stages(self) -> tuple[tuple[float, float], ...]:
-        """Per-stage (alpha_tau, alpha_v) pairs the solver walks through."""
-        if self.continuation_schedule is not None:
-            return self.continuation_schedule
-        return ((self.alpha_tau, self.alpha_v),)
+        if not isinstance(self.continuation_schedule, (list, tuple)):
+            raise ValueError("continuation_schedule must be a list of pairs, "
+                             f"got {self.continuation_schedule!r}")
+        for entry in self.continuation_schedule:
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+                raise ValueError(f"continuation_schedule entry must be a pair, got {entry!r}")
+            _require_reals("continuation_schedule entry", *entry)
+        schedule = tuple((float(a), float(b)) for a, b in self.continuation_schedule)
+        object.__setattr__(self, "continuation_schedule", schedule)
+        if not schedule:
+            raise ValueError("continuation_schedule must not be empty")
+        prev = (0.0, 0.0)
+        for at, av in schedule:
+            if at <= 0.0 or av <= 0.0:
+                raise ValueError("steepness parameters must be > 0")
+            if at <= prev[0] or av <= prev[1]:
+                raise ValueError("continuation_schedule must increase in both components")
+            prev = (at, av)
 
 
 @dataclass(frozen=True)
@@ -407,7 +394,7 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
     """
     if len(d) == 0:
         raise ValueError("dataset is empty")
-    stages = s.stages()
+    stages = s.continuation_schedule
     tau, v, y = d.tau_f, d.v_f, d.y
 
     def fun_grad(u, alpha_tau, alpha_v):
@@ -433,8 +420,7 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
 
     model = SimplifiedModel.from_reduced(_LO + u[start_index] * _SPAN).canonical()
     alpha_final = stages[-1]
-    # Recompute at the canonical parameter layout and the last stage's
-    # steepness, not at s's base steepness.
+    # Recompute at the canonical parameter layout and the last stage's steepness.
     final_cost = _cost_reduced(model.as_reduced(), tau, v, y, *alpha_final)
     diagnostics = {
         "start_costs": start_costs.tolist(),

@@ -84,6 +84,9 @@ class SamplerConfig:
             lo, hi = bounds
             if not hi > lo:
                 raise ValueError(f"{name} ({lo}, {hi}) must be increasing")
+            # A tuple, as the defaults are, so configs compare and hash by value;
+            # no float(), so the echo keeps the numbers as written.
+            object.__setattr__(self, name, tuple(bounds))
 
 
 def _write_csv(path: str | Path, comments: list[str] | None, header: list, rows) -> None:

@@ -6,7 +6,7 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 
-from tripfit import CompositeProtection, ProtectionScheme, SimplifiedModel, SmoothingConfig, TripZone
+from tripfit import CompositeProtection, ProtectionScheme, SimplifiedModel, TripZone
 from tripfit.regression import _block_parts, _cost_reduced
 from tripfit.sampling import Dataset
 
@@ -73,21 +73,21 @@ def hard_values(m: SimplifiedModel, tau_f, v_f):
     return out if out.ndim else float(out)
 
 
-def smooth_model(tau_f, v_f, m: SimplifiedModel, s: SmoothingConfig):
-    """Smoothed two-block model value pi1 B1 + pi2 B2 at s's base steepness."""
+def smooth_model(tau_f, v_f, m: SimplifiedModel, alpha: tuple[float, float]):
+    """Smoothed two-block model value pi1 B1 + pi2 B2 at steepness (alpha_tau, alpha_v)."""
     tau_f = np.asarray(tau_f, dtype=float)
     v_f = np.asarray(v_f, dtype=float)
-    b1 = _block_parts(tau_f, v_f, m.tau1_star, m.v1_star, s.alpha_tau, s.alpha_v)[0]
-    b2 = _block_parts(tau_f, v_f, m.tau2_star, m.v2_star, s.alpha_tau, s.alpha_v)[0]
+    b1 = _block_parts(tau_f, v_f, m.tau1_star, m.v1_star, *alpha)[0]
+    b2 = _block_parts(tau_f, v_f, m.tau2_star, m.v2_star, *alpha)[0]
     out = m.pi1 * b1 + m.pi2 * b2
     return out if out.ndim else float(out)
 
 
-def cost(m: SimplifiedModel, d: Dataset, s: SmoothingConfig) -> float:
-    """Smoothed least squares cost J = (1/2N) sum (Fhat - y)^2 at s's base steepness."""
+def cost(m: SimplifiedModel, d: Dataset, alpha: tuple[float, float]) -> float:
+    """Smoothed least squares cost J = (1/2N) sum (Fhat - y)^2 at steepness alpha."""
     if len(d) == 0:
         raise ValueError("dataset is empty")
-    return _cost_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y, s.alpha_tau, s.alpha_v)
+    return _cost_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y, *alpha)
 
 
 def dataset_from_csv(path: str | Path) -> Dataset:

@@ -123,8 +123,7 @@ def test_example_config_echo_is_pinned(tmp_path):
         "seed": 20240501,
         "sampler": {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5, "n_train": 200,
                     "m_eval": 5000, "tau_range": [0.0, 5.0], "v_range": [0.0, 100.0]},
-        "smoothing": {"alpha_tau": 50.0, "alpha_v": 2.0,
-                      "continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
+        "smoothing": {"continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
         "fit": {"n_starts": 20, "max_iters": 400, "gtol": 1e-05, "ptol": 1e-12},
         "uncertainty": {"gamma_levels": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
                         "targets": [], "trials": 200, "refit": False, "m_eval": 2000,
@@ -243,22 +242,22 @@ def test_cli_fit_every_motor_class(tmp_path):
 # output_dir, so the runs use a relative --out and the digests do not depend
 # on where the test runs.
 _GOLDEN_ARTIFACTS = {
-    "fit_A.json": "cc662e0193fe1268686a4500ca4baa7929d91807d127c0dd8eb89e72978690da",
-    "fit_B.json": "ffa2e9ea9f8e1772a0029308fe85e028c01ec55293ed1c289e1512c77ca52637",
-    "fit_C.json": "36543f9347497d42ae9133b297a44ae9e2ecea61a91658b3529971f31d5776f0",
-    "fit_D.json": "d1534cab23312e8dd95570f7b845424bc983feed21d877972400de3f177c916e",
-    "fit_mixed_commercial.json": "bfb7fd0e5783885b35ba9f8af0b5da311201e80ccc0b3342101d44fc52826a38",
-    "grid_mixed_commercial_fitted.csv": "3103d4a85d425b02fd12bb267e3955e582cb63d6868bc8c773d2c7edff290c9e",
-    "grid_mixed_commercial_true.csv": "7043e1ade6d91854fa6e569b972e9d8472b9889f5bad1066fe8ac60b7a2ef39e",
-    "mae_mixed_commercial.json": "bee3cc69a2ae493b878def5b7723bbcbb39548b26d897dfc8b73afce81aa1d1d",
-    "sweep_mixed_commercial_long.csv": "14ce576dd7d71023c0fa7c25959152848bf7d2b2ac106109dbd1cf473c03fa6b",
-    "sweep_mixed_commercial_matrix.csv": "2ee8dabec1a6f82a68edb6341565a33ee6ae333b3cc6eb38783c2e71fdd06b54",
-    "sweep_mixed_commercial_summary.csv": "5ddf701aec12216f61c670a8e5d0b13088847af86efc5e035c3b2ccb8332def5",
-    "train_A.csv": "9dfaad816a5e3be01c01ec8d289cc30c7ffb71a25d04ed6599bf31783fec0fa1",
-    "train_B.csv": "7c10371de971cb9ea06f090aa98ee082ab63a450d0ddfee2c0e5ba544d16b7e2",
-    "train_C.csv": "e9d0429fd2579369310c4aa06fd9d699a82bc74c817744d21f6ce7db5ecbc049",
-    "train_D.csv": "5a55438819a57b99fc3f4f54f6fe57adb6f4b3789c4a25f85297c69f908acb49",
-    "train_mixed_commercial.csv": "a1b0f24ba95950c1cc7cf74f8452be38db2497148b07d5a39bf6e033e654bc82",
+    "fit_A.json": "ea92efaacf6db792c219c71e04dac1a52a39c8aa7c1a545ca1f28a3cf7479e08",
+    "fit_B.json": "27d2cf28ac4b3b1b7ec86c845049f2378f21013f561cac1e3f4a7b475b94c3b7",
+    "fit_C.json": "932255d6322817266b2c5db3702f198ea4f5bc5c4cd06f74378a9a56f67063a0",
+    "fit_D.json": "2a5fdc67add5ca5b5a63cd6b7708024b9273a34049b0fd3e744ffef8f63bd079",
+    "fit_mixed_commercial.json": "b96e5d4d186bef696c00bf28e711bfca0d4acac4807d634c3083210e9ae2ecf2",
+    "grid_mixed_commercial_fitted.csv": "f093e4289ce94d9e794c723491cf56b709ea4f2600f4be2e01d2bee332f3413f",
+    "grid_mixed_commercial_true.csv": "256e256a14d229e8b9c0fd0e7eb2ec16cb14b934c51af11534f0a5b8ff38bb26",
+    "mae_mixed_commercial.json": "49f2699377f4c1a8e5c1e7710c04507b3110ec286bfc19eea92daa7618bf359b",
+    "sweep_mixed_commercial_long.csv": "97abf96f21e89650bbe30da868aa4d75cbcc4fcefde7a3ebb022542f370f2d97",
+    "sweep_mixed_commercial_matrix.csv": "5fe3e525931d89f0a66266425c5eb727cfff4698a7e405e3a1a8cc759452fd66",
+    "sweep_mixed_commercial_summary.csv": "e2a6edbed037c5622a72a58a7404217216796d1c7bb8e04f91a36d85649f8d6b",
+    "train_A.csv": "d2ecc1f39a7fa859b0aed8f5b1aa5daf45403b5cd46e51ff5823a8ac89c63e85",
+    "train_B.csv": "734dea8a7d805645ad3b1ec001711735263618527268b90f24759db957fc73a5",
+    "train_C.csv": "772b5bf23abf26612ff8e6afd6f9ab9ba831712d47c2eedc124197e2f44220f7",
+    "train_D.csv": "7d738b4d1b8586aae819454502bf93fe14a99d3dc0560251a8191c97bd772f54",
+    "train_mixed_commercial.csv": "44bc832d4527af55f0e63eb7749ce2d702c65b1c7aa95f4f7f9266e24d604344",
 }
 
 
@@ -279,10 +278,10 @@ def test_cli_artifact_golden_digests(tmp_path, monkeypatch):
 
 
 _GOLDEN_REFIT_ARTIFACTS = {
-    "fit_mixed_commercial.json": "050342beb3e7e11625b3ea0a57f33f1654bf747a92849c928ffd04cab3f8ed1b",
-    "sweep_mixed_commercial_long.csv": "3ad0581617e25138a31844e2306391c34179da49969e6326ca31e3efc5c806a9",
-    "sweep_mixed_commercial_summary.csv": "8e908b11eeeae152945b830eeedae0c11e89e3b4ba80d043ced23b9d1ebefad1",
-    "train_mixed_commercial.csv": "b9477f5181f314108c8cd6bc120aa1315c529bbff7caaf222a4d58782df1262e",
+    "fit_mixed_commercial.json": "c05ffdcfcff2a6bd7ae802838d26ee9e214fd272b660d6d2e46a661e3bacf614",
+    "sweep_mixed_commercial_long.csv": "12ee992827689d5e3ea9466db7f27dc2a899f751ae923ddfe891562e5e765380",
+    "sweep_mixed_commercial_summary.csv": "ce4f34813b174805cba5ad91a8f130151931ff5996d7bc2a69ffa302ccb02d9f",
+    "train_mixed_commercial.csv": "84d9f395165d2e6a4e561ddbcdccfd8ea253676e61b8a94a57b89fdce1f229c7",
 }
 
 
@@ -378,6 +377,22 @@ def test_cli_rejects_fit_from_other_seed_or_setup(tmp_path, capsys):
     assert main(["sweep", "--config", str(same_fit), "--motor", "C"]) == 0
     path = _small_config(tmp_path)
     assert main(["mae", "--config", str(path), "--motor", "C"]) == 0
+
+
+def test_cli_rejects_fit_echoing_alpha_tau_and_alpha_v(tmp_path, capsys):
+    # smoothing has no alpha_tau or alpha_v field; a fit whose echo holds them is stale.
+    path = _small_config(tmp_path)
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
+    fit_path = tmp_path / "out" / "fit_C.json"
+    doc = json.loads(fit_path.read_text())
+    doc["config"]["smoothing"] = {"alpha_tau": 50.0, "alpha_v": 2.0, **doc["config"]["smoothing"]}
+    fit_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["mae", "--config", str(path), "--motor", "C"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {fit_path} was fitted under a different smoothing.alpha_tau; "
+                          "rerun `tripfit fit --motor C` with this config")
+    assert not (tmp_path / "out" / "mae_C.json").exists()
 
 
 def test_cli_sweep_skips_matrix_when_targets_absent(tmp_path, capsys):
@@ -503,7 +518,7 @@ _TYPED_LIBRARY = {
     ({"sampler": {"v_range": [0, 300]}}, None,
      "sampler: v_range must be two numbers in [0, 100], got [0, 300]"),
     ({"fit": {"gtol": float("nan")}}, None, "config.json: NaN is not a finite number"),
-    ({"smoothing": {"alpha_tau": float("inf"), "continuation_schedule": None}}, None,
+    ({"smoothing": {"continuation_schedule": [[float("inf"), 2.0]]}}, None,
      "config.json: Infinity is not a finite number"),
     ({"sampler": {"beta_tau": float("nan")}}, None, "config.json: NaN is not a finite number"),
     ({}, {**_TYPED_LIBRARY, "base_schemes": {"P1": {"steps": [[0.1, float("-inf")]]}}},
@@ -516,9 +531,10 @@ _TYPED_LIBRARY = {
     ({"sampler": {"beta_v": True}}, None, "sampler: beta_v must be a real number, got True"),
     ({"sampler": {"weight_threshold": False}}, None,
      "sampler: weight_threshold must be a real number, got False"),
-    ({"smoothing": {"alpha_tau": True}}, None,
-     "smoothing: alpha_tau must be a real number, got True"),
-    ({"smoothing": {"alpha_v": True}}, None, "smoothing: alpha_v must be a real number, got True"),
+    ({"smoothing": {"alpha_tau": 50.0}}, None,
+     "smoothing: unknown field(s) ['alpha_tau']; known: ['continuation_schedule']"),
+    ({"smoothing": {"alpha_v": 2.0}}, None,
+     "smoothing: unknown field(s) ['alpha_v']; known: ['continuation_schedule']"),
     ({"smoothing": {"continuation_schedule": [[True, 0.4], [50.0, 2.0]]}}, None,
      "smoothing: continuation_schedule entry must be a real number, got True"),
     ({"smoothing": {"continuation_schedule": [["10", 0.4]]}}, None,
@@ -535,6 +551,8 @@ _TYPED_LIBRARY = {
      "smoothing: continuation_schedule must be a list of pairs, got 'ab'"),
     ({"smoothing": {"continuation_schedule": {"a": 1}}}, None,
      "smoothing: continuation_schedule must be a list of pairs, got {'a': 1}"),
+    ({"smoothing": {"continuation_schedule": None}}, None,
+     "smoothing: continuation_schedule must be a list of pairs, got None"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
     if library is not None:

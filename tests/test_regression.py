@@ -32,6 +32,8 @@ from tripfit.protection import TAU_MAX, V_MAX
 from tripfit.sampling import Dataset
 
 RECOVERY_TRUTH = SimplifiedModel(0.4, 0.2, 70.0, 0.6, 1.5, 55.0)
+# (alpha_tau, alpha_v): the middle stage of the default continuation schedule.
+ALPHA = (50.0, 2.0)
 
 
 def _dataset_from_hard(model, n=500, seed=0):
@@ -63,18 +65,18 @@ def test_logistic_stable_at_extremes():
 
 # ----------------------------------------------------------- smooth model
 
-def _block(tau, v, tau_star, v_star, s):
+def _block(tau, v, tau_star, v_star, alpha):
     """One smoothed block: the two-block model with pi1 = 1 is that block bit for bit."""
-    return smooth_model(tau, v, SimplifiedModel(1.0, tau_star, v_star, 0.0, 0.0, 0.0), s)
+    return smooth_model(tau, v, SimplifiedModel(1.0, tau_star, v_star, 0.0, 0.0, 0.0), alpha)
 
 
 def test_smooth_block_midpoint():
-    s = SmoothingConfig(alpha_tau=50.0, alpha_v=2.0, continuation_schedule=None)
+    s = ALPHA
     assert _block(0.5, 60.0, 0.5, 60.0, s) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_smooth_block_trip_corner():
-    s = SmoothingConfig(alpha_tau=50.0, alpha_v=2.0, continuation_schedule=None)
+    s = ALPHA
     assert 0.0 < _block(4.0, 5.0, 0.5, 60.0, s) < 1e-9
 
 
@@ -97,7 +99,7 @@ def test_smooth_block_matches_subtractive_form():
     eps = np.finfo(float).eps
     rng = np.random.default_rng(21)
     for alpha_tau, alpha_v in ((10.0, 0.4), (50.0, 2.0), (250.0, 10.0)):
-        s = SmoothingConfig(alpha_tau, alpha_v, continuation_schedule=None)
+        s = (alpha_tau, alpha_v)
         tau = rng.uniform(0, 5, 20000)
         v = rng.uniform(0, 100, 20000)
         tau_star, v_star = rng.uniform(0, 5), rng.uniform(0, 100)
@@ -154,13 +156,13 @@ def test_smooth_block_converges_to_hard():
     keep = (np.abs(tau - tau_star) > 0.05) & (np.abs(v - v_star) > 1.0)
     tau, v = tau[keep], v[keep]
     hard = (tau >= tau_star) & (v <= v_star)
-    s = SmoothingConfig(alpha_tau=2000.0, alpha_v=200.0, continuation_schedule=None)
+    s = (2000.0, 200.0)
     approx = _block(tau, v, tau_star, v_star, s)
     assert np.max(np.abs((1.0 - hard) - approx)) < 1e-6
 
 
 def test_smooth_model_degenerate_fraction():
-    s = SmoothingConfig(continuation_schedule=None)
+    s = ALPHA
     m = SimplifiedModel(0.0, 0.3, 80.0, 1.0, 1.0, 50.0)
     tau, v = 0.7, 62.0
     assert smooth_model(tau, v, m, s) == _block(tau, v, 1.0, 50.0, s)
@@ -168,13 +170,13 @@ def test_smooth_model_degenerate_fraction():
 
 def test_smooth_model_even_split():
     # block 1 saturated tripped (value ~0), block 2 saturated connected (~1)
-    s = SmoothingConfig(alpha_tau=100.0, alpha_v=4.0, continuation_schedule=None)
+    s = (100.0, 4.0)
     m = SimplifiedModel(0.5, 0.0, 100.0, 0.5, 5.0, 0.0)
     assert smooth_model(2.5, 50.0, m, s) == pytest.approx(0.5, abs=1e-9)
 
 
 def test_smooth_model_range_and_monotonicity():
-    s = SmoothingConfig(continuation_schedule=None)
+    s = ALPHA
     m = SimplifiedModel(0.35, 0.6, 66.0, 0.65, 2.1, 44.0)
     rng = np.random.default_rng(14)
     tau = rng.uniform(0, 5, 400)
@@ -195,7 +197,7 @@ def test_smooth_model_range_and_monotonicity():
 
 
 def test_smooth_model_identical_blocks():
-    s = SmoothingConfig(continuation_schedule=None)
+    s = ALPHA
     a = SimplifiedModel(0.3, 1.0, 50.0, 0.7, 1.0, 50.0)
     b = SimplifiedModel(0.9, 1.0, 50.0, 0.1, 1.0, 50.0)
     tau = np.linspace(0, 5, 33)
@@ -212,7 +214,7 @@ def test_smooth_model_identical_blocks():
     st.floats(0, 5, allow_nan=False), st.floats(0, 100, allow_nan=False),
 )
 def test_smooth_model_label_symmetry(pi1, t1, v1, t2, v2, tau, v):
-    s = SmoothingConfig(continuation_schedule=None)
+    s = ALPHA
     m = SimplifiedModel(pi1, t1, v1, 1.0 - pi1, t2, v2)
     swapped = SimplifiedModel(1.0 - pi1, t2, v2, pi1, t1, v1)
     assert smooth_model(tau, v, m, s) == pytest.approx(smooth_model(tau, v, swapped, s), abs=1e-15)
@@ -233,24 +235,26 @@ def test_model_validation_and_canonical():
 
 
 def test_smoothing_config_validation():
-    with pytest.raises(ValueError):
-        SmoothingConfig(alpha_tau=0.0, continuation_schedule=None)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="must be > 0"):
+        SmoothingConfig(((0.0, 2.0),))
+    with pytest.raises(ValueError, match="must increase"):
         SmoothingConfig(continuation_schedule=((10.0, 1.0), (5.0, 2.0)))
-    stages = SmoothingConfig(alpha_tau=40.0, alpha_v=1.5, continuation_schedule=None).stages()
-    assert stages == ((40.0, 1.5),)
+    with pytest.raises(ValueError, match="must not be empty"):
+        SmoothingConfig(())
+    with pytest.raises(ValueError, match="must be a list of pairs, got None"):
+        SmoothingConfig(None)
+    assert SmoothingConfig([[40, 1.5]]).continuation_schedule == ((40.0, 1.5),)
 
 
 # ------------------------------------------------------------------ cost
 
-def _gradient(m, d, s):
+def _gradient(m, d, alpha):
     """Analytic gradient of the cost in the reduced (pi1, tau1, v1, tau2, v2) coordinates."""
-    return regression._cost_grad_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y,
-                                         s.alpha_tau, s.alpha_v)[1]
+    return regression._cost_grad_reduced(m.as_reduced(), d.tau_f, d.v_f, d.y, *alpha)[1]
 
 
 def test_cost_zero_at_self_labels():
-    s = SmoothingConfig(continuation_schedule=None)
+    s = ALPHA
     m = SimplifiedModel(0.4, 0.5, 60.0, 0.6, 2.0, 45.0)
     rng = np.random.default_rng(3)
     tau = rng.uniform(0, 5, 100)
@@ -261,7 +265,7 @@ def test_cost_zero_at_self_labels():
 
 
 def test_cost_single_point_half():
-    s = SmoothingConfig(alpha_tau=50.0, alpha_v=2.0, continuation_schedule=None)
+    s = ALPHA
     # prediction saturates at 1 far from both blocks; label 0 -> J = 1/2
     m = SimplifiedModel(0.5, 5.0, 0.0, 0.5, 5.0, 0.0)
     d = Dataset(np.array([0.0]), np.array([100.0]), np.array([0.0]))
@@ -269,7 +273,7 @@ def test_cost_single_point_half():
 
 
 def test_cost_summation_order():
-    s = SmoothingConfig(continuation_schedule=None)
+    s = ALPHA
     m = SimplifiedModel(0.25, 0.7, 66.0, 0.75, 2.2, 41.0)
     rng = np.random.default_rng(4)
     tau = rng.uniform(0, 5, 777)
@@ -307,7 +311,7 @@ def test_gradient_matches_finite_differences():
 
 
 def test_gradient_pi_zero_for_identical_blocks():
-    s = SmoothingConfig(continuation_schedule=None)
+    s = ALPHA
     m = SimplifiedModel(0.3, 1.0, 50.0, 0.7, 1.0, 50.0)
     rng = np.random.default_rng(8)
     d = Dataset(rng.uniform(0, 5, 50), rng.uniform(0, 100, 50), rng.uniform(0, 1, 50))
@@ -356,7 +360,7 @@ def test_stacked_kernel_bit_equal_to_per_block():
     from tripfit.regression import _cost_grad_reduced, _cost_reduced
 
     rng = np.random.default_rng(31)
-    stages = SmoothingConfig().stages() + ((1e4, 1e3),)
+    stages = SmoothingConfig().continuation_schedule + ((1e4, 1e3),)
     for n in (5, 37, 200, 1000):
         tau = rng.uniform(0, TAU_MAX, n)
         v = rng.uniform(0, V_MAX, n)
@@ -371,8 +375,7 @@ def test_stacked_kernel_bit_equal_to_per_block():
                 assert cost_val == cost_ref
                 assert np.array_equal(g, g_ref), (n, theta, at, av, g, g_ref)
                 m = SimplifiedModel.from_reduced(theta)
-                s = SmoothingConfig(at, av, continuation_schedule=None)
-                assert cost(m, d, s) == _cost_reduced(theta, tau, v, y, at, av) == cost_val
+                assert cost(m, d, (at, av)) == _cost_reduced(theta, tau, v, y, at, av) == cost_val
             # Batched rows: each row of a stack equals that row evaluated alone.
             for rows in (1, 3, 20):
                 pick = rng.integers(0, len(thetas), rows)
@@ -462,7 +465,7 @@ def _per_start_minimize_fit(d, s, f, maxfun=15000):
     from tripfit.rng import rng_stream
     from tripfit.sampling import lhs_unit
 
-    stages = s.stages()
+    stages = s.continuation_schedule
     tau, v, y = d.tau_f, d.v_f, d.y
 
     def fun_grad(u, alpha_tau, alpha_v):
@@ -517,7 +520,7 @@ def _minimize_cases():
     yield ("three-starts-five-iters", comp, SamplerConfig(seed=5), SmoothingConfig(),
            FitConfig(n_starts=3, max_iters=5, seed=5))
     yield ("no-continuation", lib.composite("D"), SamplerConfig(seed=6),
-           SmoothingConfig(continuation_schedule=None), FitConfig(n_starts=8, seed=6))
+           SmoothingConfig((ALPHA,)), FitConfig(n_starts=8, seed=6))
     yield ("steep-schedule", comp, SamplerConfig(seed=7),
            SmoothingConfig(continuation_schedule=((5.0, 0.1), (1e4, 1e3))),
            FitConfig(n_starts=8, seed=7))
@@ -693,7 +696,7 @@ def test_fit_unchanged_when_scipy_blas_not_found(monkeypatch):
     _spy_lockstep(monkeypatch, seen)
     monkeypatch.setattr(regression, "_scipy_openblas", lambda: None)
     assert fit(d, SmoothingConfig(), f).to_jsonable() == scoped
-    assert seen == [threads] * len(SmoothingConfig().stages())
+    assert seen == [threads] * len(SmoothingConfig().continuation_schedule)
 
 
 # ------------------------------------------------------------------- fit
@@ -724,8 +727,7 @@ def test_fit_beats_every_start():
     d = _dataset_from_hard(RECOVERY_TRUTH, n=200, seed=9)
     s = SmoothingConfig()
     result = fit(d, s, FitConfig(n_starts=8, seed=9))
-    at, av = result.diagnostics["alpha_final"]
-    final_smoothing = SmoothingConfig(at, av, continuation_schedule=None)
+    final_alpha = tuple(result.diagnostics["alpha_final"])
     from tripfit.regression import _LO, _SPAN
     from tripfit.sampling import lhs_unit
     from tripfit.rng import rng_stream
@@ -733,14 +735,13 @@ def test_fit_beats_every_start():
     starts = lhs_unit(rng_stream(9, "multistart"), 8, 5)
     for u in starts:
         m0 = SimplifiedModel.from_reduced(_LO + u * _SPAN)
-        assert result.final_cost <= cost(m0, d, final_smoothing) + 1e-15
+        assert result.final_cost <= cost(m0, d, final_alpha) + 1e-15
 
 
 def test_fit_result_invariants():
     d = _dataset_from_hard(RECOVERY_TRUTH, n=200, seed=13)
     result = fit(d, SmoothingConfig(), FitConfig(seed=13))
-    at, av = result.diagnostics["alpha_final"]
-    assert result.final_cost == cost(result.model, d, SmoothingConfig(at, av, continuation_schedule=None))
+    assert result.final_cost == cost(result.model, d, tuple(result.diagnostics["alpha_final"]))
     m = result.model
     # exact feasibility and canonical order
     assert 0.0 <= m.pi1 <= 1.0 and m.pi1 + m.pi2 == 1.0
@@ -795,15 +796,15 @@ def test_harden_matches_hard_values():
 
 def test_harden_close_to_smooth_away_from_boundaries():
     m = SimplifiedModel(0.4, 0.7, 64.0, 0.6, 2.0, 38.0)
-    s = SmoothingConfig(alpha_tau=250.0, alpha_v=10.0, continuation_schedule=None)
+    s = (250.0, 10.0)
     tau = np.linspace(0, 5, 101)
     v = np.linspace(0, 100, 101)
     tt, vv = np.meshgrid(tau, v, indexing="ij")
     hard = hard_values(m, tt, vv)
     smooth = smooth_model(tt, vv, m, s)
     assert np.max(np.abs(hard - smooth)) <= 0.5 + 1e-12
-    band_tau = 5.0 / s.alpha_tau
-    band_v = 5.0 / s.alpha_v
+    band_tau = 5.0 / s[0]
+    band_v = 5.0 / s[1]
     outside = (
         (np.abs(tt - m.tau1_star) > band_tau) & (np.abs(tt - m.tau2_star) > band_tau)
         & (np.abs(vv - m.v1_star) > band_v) & (np.abs(vv - m.v2_star) > band_v)

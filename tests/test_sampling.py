@@ -67,7 +67,16 @@ def test_sampler_config_validation():
             SamplerConfig(tau_range=bad)
     with pytest.raises(ValueError, match="v_range"):
         SamplerConfig(v_range=(0, 300))
-    assert SamplerConfig(tau_range=(0, 5), v_range=[0.0, 100]).v_range == [0.0, 100]
+    kept = SamplerConfig(tau_range=(0, 5), v_range=[0.0, 100])
+    assert kept.v_range == (0.0, 100) and type(kept.v_range[1]) is int
+
+
+def test_sampler_config_list_ranges_compare_and_hash_by_value():
+    # JSON gives the ranges as lists; the config stores them as tuples, like the defaults.
+    from_json = SamplerConfig(tau_range=[0.0, 5.0], v_range=[0, 100])
+    assert from_json.tau_range == (0.0, 5.0) and from_json.v_range == (0, 100)
+    assert from_json == SamplerConfig()
+    assert hash(from_json) == hash(SamplerConfig())
 
 
 # ---------------------------------------------------------- sample_training
