@@ -19,7 +19,7 @@ import numpy as np
 from .protection import CompositeProtection, accumulate
 from .regression import FitConfig, SimplifiedModel, SmoothingConfig, fit, harden
 from .rng import rng_stream, stream_uniforms
-from .sampling import (SamplerConfig, _require_ints, _require_reals, _write_csv, lhs_box,
+from .sampling import (SamplerConfig, _check_fields, _write_csv, lhs_box,
                        sample_training)
 
 
@@ -52,25 +52,10 @@ class UncertaintySpec:
     matrix_targets: tuple[str, str] | None = None
 
     def __post_init__(self):
-        _require_ints(self, "trials", "m_eval")
-        if not isinstance(self.refit, bool):
-            raise TypeError(f"refit must be a boolean, got {self.refit!r}")
-        for name in ("gamma_levels", "targets"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{name} must be a list, got {value!r}")
+        _check_fields(self)
         if not self.gamma_levels:
             raise ValueError("gamma_levels must not be empty")
-        _require_reals("gamma_levels entry", *self.gamma_levels)
         object.__setattr__(self, "gamma_levels", tuple(float(g) for g in self.gamma_levels))
-        object.__setattr__(self, "targets", tuple(self.targets))
-        if self.matrix_targets is not None:
-            if not (isinstance(self.matrix_targets, (list, tuple)) and len(self.matrix_targets) == 2):
-                raise ValueError("matrix_targets must be a pair of scheme names")
-            object.__setattr__(self, "matrix_targets", tuple(self.matrix_targets))
-        for name in self.targets + (self.matrix_targets or ()):
-            if not isinstance(name, str):
-                raise ValueError(f"scheme names must be strings, got {name!r}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"targets must not repeat a scheme, got {list(self.targets)}")
         if self.matrix_targets is not None and len(set(self.matrix_targets)) != 2:

@@ -75,9 +75,11 @@ class ProtectionLibrary:
         return CompositeProtection(entries)
 
 
-def _number(raw, where: str) -> float:
+def _number(raw, where: str, fraction: bool = False) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"{where} must be a number, got {raw!r}")
+    if fraction and not 0.0 <= raw <= 1.0:
+        raise ValueError(f"{where} must be a fraction in [0, 1], got {raw!r}")
     return float(raw)
 
 
@@ -153,8 +155,8 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
                 f"{source}: fraction_table[{name!r}] must have one value per motor class "
                 f"({len(motor_classes)}), got {len(row)}"
             )
-        fraction_table[name] = tuple(_number(x, f"{source}: fraction_table[{name!r}]")
-                                     for x in row)
+        fraction_table[name] = tuple(
+            _number(x, f"{source}: fraction_table[{name!r}]", fraction=True) for x in row)
     for col, motor in enumerate(motor_classes):
         total = sum(row[col] for row in fraction_table.values())
         if abs(total - 1.0) > FRACTION_SUM_TOL:
@@ -169,7 +171,7 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
         for name in _object(fractions, f"{source}: composite {key!r}"):
             if name not in schemes:
                 raise ValueError(f"{source}: composite {key!r} references unknown scheme {name!r}")
-        values = {name: _number(x, f"{source}: composite {key!r}[{name!r}]")
+        values = {name: _number(x, f"{source}: composite {key!r}[{name!r}]", fraction=True)
                   for name, x in fractions.items()}
         total = sum(values.values())
         if abs(total - 1.0) > FRACTION_SUM_TOL:

@@ -34,7 +34,7 @@ import scipy
 from .protection import (FRACTION_SUM_TOL, TAU_MAX, V_MAX, CompositeProtection,
                          ProtectionScheme, TripZone)
 from .rng import rng_stream
-from .sampling import Dataset, _require_ints, _require_reals, lhs_unit
+from .sampling import Dataset, _check_fields, _checked, lhs_unit
 
 _SCIPY_DIR = Path(scipy.__file__).parent
 
@@ -144,13 +144,7 @@ class SmoothingConfig:
         (10.0, 0.4), (50.0, 2.0), (250.0, 10.0))
 
     def __post_init__(self):
-        if not isinstance(self.continuation_schedule, (list, tuple)):
-            raise ValueError("continuation_schedule must be a list of pairs, "
-                             f"got {self.continuation_schedule!r}")
-        for entry in self.continuation_schedule:
-            if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-                raise ValueError(f"continuation_schedule entry must be a pair, got {entry!r}")
-            _require_reals("continuation_schedule entry", *entry)
+        _check_fields(self)
         schedule = tuple((float(a), float(b)) for a, b in self.continuation_schedule)
         object.__setattr__(self, "continuation_schedule", schedule)
         if not schedule:
@@ -180,9 +174,7 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_ints(self, "n_starts", "max_iters")
-        for name in ("gtol", "ptol"):
-            _require_reals(name, getattr(self, name))
+        _check_fields(self)
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
         if self.max_iters < 1:
@@ -213,9 +205,7 @@ def model_to_jsonable(m: SimplifiedModel) -> dict:
 
 
 def model_from_jsonable(doc: dict) -> SimplifiedModel:
-    values = [doc[key] for key in _MODEL_KEYS]
-    _require_reals("model parameter", *values)
-    return SimplifiedModel(*values)
+    return SimplifiedModel(*(_checked(float, doc[key], "model parameter") for key in _MODEL_KEYS))
 
 
 def _sigmoid_pair(x, alpha: float) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ from Latin hypercube samples on a stream disjoint from training.
 from __future__ import annotations
 
 import csv
+import functools
 import numbers
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,19 +31,44 @@ class SamplingError(RuntimeError):
     """Raised when the accepted sampling region is (near) empty."""
 
 
-def _require_ints(obj, *names: str) -> None:
-    """Raise TypeError unless each named field of obj is an integer (a bool is not)."""
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise TypeError(f"{name} must be an integer, got {value!r}")
+# Each scalar annotation's name in messages and the type a value must have.
+_SCALARS = {int: ("an integer", numbers.Integral), float: ("a real number", numbers.Real),
+            bool: ("a boolean", bool), str: ("a string", str)}
+
+# A dataclass's resolved field annotations, worked out at its first construction.
+_hints = functools.cache(typing.get_type_hints)
 
 
-def _require_reals(name: str, *values) -> None:
-    """Raise TypeError naming name unless each value is a real number (a bool is not)."""
-    for value in values:
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise TypeError(f"{name} must be a real number, got {value!r}")
+def _checked(hint, value, name: str, entry: str | None = None):
+    """value, lists made tuples, if it is of type hint; else TypeError or ValueError.
+
+    hint is a _SCALARS key, tuple[X, ...], tuple[X, X] or X | None.  A wrong
+    scalar raises TypeError and a wrong container ValueError, naming the value
+    `name` and each entry, at any depth, `entry` (default "{name} entry").
+    """
+    if hint in _SCALARS:
+        what, kind = _SCALARS[hint]
+        # A bool is neither an int nor a float.
+        if not isinstance(value, kind) or isinstance(value, bool) is not (hint is bool):
+            raise TypeError(f"{name} must be {what}, got {value!r}")
+        return value
+    entry = entry or f"{name} entry"
+    args = typing.get_args(hint)
+    if type(None) in args:
+        return None if value is None else _checked(args[0], value, name, entry)
+    many = args[-1] is Ellipsis
+    if not (isinstance(value, (list, tuple)) and (many or len(value) == len(args))):
+        what = ("a pair" if not many else
+                "a list of pairs" if typing.get_origin(args[0]) is tuple else "a list")
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    kinds = args[:1] * len(value) if many else args
+    return tuple(_checked(kind, x, entry, entry) for kind, x in zip(kinds, value))
+
+
+def _check_fields(obj) -> None:
+    """Check each field of the frozen dataclass obj against its annotation, in place."""
+    for name, hint in _hints(type(obj)).items():
+        object.__setattr__(obj, name, _checked(hint, getattr(obj, name), name))
 
 
 @dataclass(frozen=True)
@@ -64,9 +91,7 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _require_ints(self, "n_train", "m_eval")
-        for name in ("beta_tau", "beta_v", "weight_threshold"):
-            _require_reals(name, getattr(self, name))
+        _check_fields(self)
         if self.beta_tau <= 0.0 or self.beta_v <= 0.0:
             raise ValueError("beta_tau and beta_v must be > 0")
         if not (0.0 <= self.weight_threshold < 1.0):
@@ -76,17 +101,11 @@ class SamplerConfig:
         if self.m_eval < 10 * self.n_train:
             raise ValueError("m_eval must be at least 10 * n_train")
         for name, top in (("tau_range", TAU_MAX), ("v_range", V_MAX)):
-            bounds = getattr(self, name)
-            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2 and all(
-                    isinstance(b, numbers.Real) and not isinstance(b, bool) and 0.0 <= b <= top
-                    for b in bounds)):
-                raise ValueError(f"{name} must be two numbers in [0, {top:g}], got {bounds!r}")
-            lo, hi = bounds
+            lo, hi = getattr(self, name)
+            if not (0.0 <= lo <= top and 0.0 <= hi <= top):
+                raise ValueError(f"{name} must be two numbers in [0, {top:g}], got {[lo, hi]!r}")
             if not hi > lo:
                 raise ValueError(f"{name} ({lo}, {hi}) must be increasing")
-            # A tuple, as the defaults are, so configs compare and hash by value;
-            # no float(), so the echo keeps the numbers as written.
-            object.__setattr__(self, name, tuple(bounds))
 
 
 def _write_csv(path: str | Path, comments: list[str] | None, header: list, rows) -> None:

@@ -498,9 +498,9 @@ _TYPED_LIBRARY = {
     ({"composites": {"demo": ["P1"]}}, None, "composite 'demo' must be a JSON object"),
     ({}, _LIST_ENTRY_LIBRARY, "base_schemes['P1'] must be a JSON object"),
     ({"uncertainty": {"matrix_targets": ["P2", ["x"]]}}, None,
-     "uncertainty: scheme names must be strings, got ['x']"),
+     "uncertainty: matrix_targets entry must be a string, got ['x']"),
     ({"uncertainty": {"targets": ["P2", ["x"]]}}, None,
-     "uncertainty: scheme names must be strings, got ['x']"),
+     "uncertainty: targets entry must be a string, got ['x']"),
     ({"protection_library": 5}, None, "protection_library must be a string"),
     ({"output_dir": None}, None, "output_dir must be a string"),
     ({}, {**_TYPED_LIBRARY, "fraction_table": {"P1": 1.0}},
@@ -512,7 +512,7 @@ _TYPED_LIBRARY = {
     ({"uncertainty": {"targets": ["P2", "P1", "P2"]}}, None,
      "uncertainty: targets must not repeat a scheme, got ['P2', 'P1', 'P2']"),
     ({"sampler": {"tau_range": ["a", "b"]}}, None,
-     "sampler: tau_range must be two numbers in [0, 5], got ['a', 'b']"),
+     "sampler: tau_range entry must be a real number, got 'a'"),
     ({"sampler": {"tau_range": [-3, 5]}}, None,
      "sampler: tau_range must be two numbers in [0, 5], got [-3, 5]"),
     ({"sampler": {"v_range": [0, 300]}}, None,

@@ -360,9 +360,9 @@ def test_matrix_shape_and_nominal_corner(fitted_pair):
 
 def test_matrix_requires_two_targets(fitted_pair):
     comp, model = fitted_pair
-    with pytest.raises(ValueError, match="pair of scheme names"):
+    with pytest.raises(ValueError, match="matrix_targets must be a pair"):
         UncertaintySpec(matrix_targets=("Z1",), trials=30)
-    with pytest.raises(ValueError, match="strings"):
+    with pytest.raises(TypeError, match="matrix_targets entry must be a string"):
         UncertaintySpec(matrix_targets=("Z1", ["Z2"]), trials=30)
     # The sweep's targets are not the matrix's.
     with pytest.raises(ValueError, match="needs matrix_targets"):

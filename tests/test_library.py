@@ -97,6 +97,12 @@ def test_parse_rejects_bad_composite_sum():
     ("combinations", "P1-P2", [["P1"], "P2"], "combination 'P1-P2' must be a list"),
     ("base_schemes", "P2", {"steps": [[None, 60.0]]}, "step 0 tau_break must be a number"),
     ("composites", "demo", {"P1": None}, "composite 'demo'['P1'] must be a number, got None"),
+    ("fraction_table", "P1", [-0.1],
+     "<memory>: fraction_table['P1'] must be a fraction in [0, 1], got -0.1"),
+    ("composites", "demo", {"P1": -0.5, "P1-P2": 1.5},
+     "<memory>: composite 'demo'['P1'] must be a fraction in [0, 1], got -0.5"),
+    ("composites", "demo", {"P1": 1.5, "P1-P2": -0.5},
+     "<memory>: composite 'demo'['P1'] must be a fraction in [0, 1], got 1.5"),
 ])
 def test_parse_rejects_mistyped_values(section, key, value, message):
     doc = _base_doc()

@@ -567,6 +567,7 @@ from tripfit import (FitConfig, SamplerConfig, SmoothingConfig, UncertaintySpec,
                      fit, regression, sample_training, uncertainty_matrix, uncertainty_sweep)
 libs = regression._SCIPY_DIR.parent / "scipy.libs"
 out = {"optimize_loaded": "scipy.optimize" in sys.modules,
+       "hints_at_import": tripfit.sampling._hints.cache_info().currsize,
        "ships_openblas": any(libs.glob("libscipy_openblas*")),
        "blas_found": regression._scipy_openblas() is not None,
        "glibc": platform.libc_ver()[0] == "glibc"}
@@ -601,6 +602,8 @@ def test_import_skips_scipy_optimize_and_keeps_blas_cap():
                          capture_output=True, text=True, check=True)
     probe = json.loads(run.stdout)
     assert not probe["optimize_loaded"]
+    # Config annotations are resolved at a class's first construction, not at import.
+    assert probe["hints_at_import"] == 0
     # Without the library the one-thread tests below only skip, so check it here.
     if probe["ships_openblas"]:
         assert probe["blas_found"]

@@ -1,7 +1,8 @@
 import csv
+import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, dataclass, replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -11,13 +12,16 @@ from hypothesis import given
 from helpers import dataset_from_csv, random_composite
 from tripfit import (
     Dataset,
+    FitConfig,
     SamplerConfig,
     SamplingError,
+    UncertaintySpec,
     sample_training,
     weight,
 )
+from tripfit.config import _SECTIONS
 from tripfit.rng import rng_stream
-from tripfit.sampling import _write_csv, lhs_box, lhs_unit
+from tripfit.sampling import _check_fields, _write_csv, lhs_box, lhs_unit
 
 
 # ---------------------------------------------------------------- weight
@@ -61,7 +65,10 @@ def test_sampler_config_validation():
         SamplerConfig(n_train=3)
     with pytest.raises(ValueError):
         SamplerConfig(n_train=200, m_eval=1999)
-    for bad in (("a", "b"), (-3.0, 5.0), (0.0, 5.5), (True, 5.0), (0.0, float("nan")),
+    for bad in (("a", "b"), (True, 5.0)):
+        with pytest.raises(TypeError, match="tau_range entry must be a real number"):
+            SamplerConfig(tau_range=bad)
+    for bad in ((-3.0, 5.0), (0.0, 5.5), (0.0, float("nan")),
                 (0.0,), (0.0, 1.0, 2.0), "05", (2.0, 1.0)):
         with pytest.raises(ValueError, match="tau_range"):
             SamplerConfig(tau_range=bad)
@@ -77,6 +84,65 @@ def test_sampler_config_list_ranges_compare_and_hash_by_value():
     assert from_json.tau_range == (0.0, 5.0) and from_json.v_range == (0, 100)
     assert from_json == SamplerConfig()
     assert hash(from_json) == hash(SamplerConfig())
+    # So does every section read back from its JSON echo.
+    for cls in _SECTIONS.values():
+        from_json = cls(**json.loads(json.dumps(asdict(cls()))))
+        assert from_json == cls() and hash(from_json) == hash(cls()), cls.__name__
+
+
+@pytest.mark.parametrize("cls, seed", [(FitConfig, 1.5), (SamplerConfig, True),
+                                       (UncertaintySpec, "3")])
+def test_section_seed_must_be_an_integer(cls, seed):
+    with pytest.raises(TypeError) as info:
+        cls(seed=seed)
+    assert str(info.value) == f"seed must be an integer, got {seed!r}"
+
+
+@dataclass(frozen=True)
+class _EachKind:
+    """One field of each annotation the checker supports, and no check code of its own."""
+
+    count: int = 1
+    real: float = 0.5
+    flag: bool = False
+    name: str = "x"
+    reals: tuple[float, ...] = ()
+    pair: tuple[str, str] = ("a", "b")
+    maybe: tuple[float, float] | None = None
+    pairs: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self):
+        _check_fields(self)
+
+
+@pytest.mark.parametrize("field, value, error, message", [
+    ("count", 1.0, TypeError, "count must be an integer, got 1.0"),
+    ("count", True, TypeError, "count must be an integer, got True"),
+    ("real", False, TypeError, "real must be a real number, got False"),
+    ("real", "1", TypeError, "real must be a real number, got '1'"),
+    ("flag", 0, TypeError, "flag must be a boolean, got 0"),
+    ("name", None, TypeError, "name must be a string, got None"),
+    ("reals", "ab", ValueError, "reals must be a list, got 'ab'"),
+    ("reals", [1, None], TypeError, "reals entry must be a real number, got None"),
+    ("pair", ["a"], ValueError, "pair must be a pair, got ['a']"),
+    ("pair", ["a", 2], TypeError, "pair entry must be a string, got 2"),
+    ("maybe", 5, ValueError, "maybe must be a pair, got 5"),
+    ("maybe", [1.0, True], TypeError, "maybe entry must be a real number, got True"),
+    ("pairs", {}, ValueError, "pairs must be a list of pairs, got {}"),
+    ("pairs", [[1.0, 2.0], [3.0]], ValueError, "pairs entry must be a pair, got [3.0]"),
+    ("pairs", [[1.0, "2"]], TypeError, "pairs entry must be a real number, got '2'"),
+])
+def test_check_fields_refuses_a_wrong_value_of_each_kind(field, value, error, message):
+    with pytest.raises(error) as info:
+        _EachKind(**{field: value})
+    assert str(info.value) == message
+
+
+def test_check_fields_keeps_numbers_as_written_and_lists_as_tuples():
+    from_json = _EachKind(reals=[1, 2.5], pair=["a", "b"], maybe=[0, 1], pairs=[[1, 2.0]])
+    assert from_json == _EachKind(reals=(1, 2.5), maybe=(0, 1), pairs=((1, 2.0),))
+    assert type(from_json.maybe) is tuple and type(from_json.pairs[0][0]) is int
+    assert hash(from_json) == hash(_EachKind(reals=(1, 2.5), maybe=(0, 1), pairs=((1, 2.0),)))
 
 
 # ---------------------------------------------------------- sample_training
