@@ -88,7 +88,7 @@ class ProjectConfig:
     def composite_for(self, key: str):
         try:
             return self.library.composite(key)
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:
             raise ConfigError(str(exc)) from None
 
 
@@ -114,24 +114,18 @@ def load_config(
         if not isinstance(doc.get(key, ""), str):
             raise ConfigError(f"{path}: {key} must be a string")
 
-    # The config's composites join the library document, so it is parsed once.
     lib_ref = doc.get("protection_library", BUILTIN)
     lib_path = lib_ref if lib_ref == BUILTIN else str((path.parent / lib_ref).resolve())
     extra = _section(doc, "composites", path)
     try:
-        lib_doc = read_library(lib_path)
+        library = parse_library(read_library(lib_path), source=lib_path)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: protection_library: {exc}") from None
-    own = lib_doc.get("composites", {}) if isinstance(lib_doc, dict) else None
-    if extra and isinstance(own, dict):
-        for key in extra:
-            if key in own:
-                raise ConfigError(f"{path}: composites[{key!r}] already defined by the library")
-        lib_doc["composites"] = {**own, **extra}
+    # The config's own composites are checked by the same code, under this file's name.
     try:
-        library = parse_library(lib_doc, source=lib_path)
+        library = library.with_composites(extra, path)
     except ValueError as exc:
-        raise ConfigError(f"{path}: protection_library: {exc}") from None
+        raise ConfigError(str(exc)) from None
 
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

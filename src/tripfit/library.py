@@ -14,24 +14,20 @@ Library layout (JSON)::
 Steps are (tau_break seconds, v_threshold percent-of-nominal) staircase pairs.
 A combination key must equal the sorted hyphen-join of its member names and
 its zone is the union of the members' zones.  `fraction_table` rows carry one
-load fraction per motor class; every class column must sum to 1.
+load fraction per motor class, and `motor_classes` must be distinct.
 `composites` are extra named fraction maps (used for ad-hoc test mixes).
+Every class column and composite is checked by building its
+CompositeProtection, so fractions lie in [0, 1] and sum to 1.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .protection import (
-    FRACTION_SUM_TOL,
-    CompositeProtection,
-    ProtectionScheme,
-    TripZone,
-    combine_schemes,
-)
+from .protection import CompositeProtection, ProtectionScheme, TripZone, combine_schemes
 
 EXPECTED_UNITS = {"tau_break": "seconds", "v_threshold": "percent_of_nominal"}
 
@@ -67,23 +63,47 @@ class ProtectionLibrary:
             fractions = self.composites[key]
         else:
             raise KeyError(f"unknown composite target {key!r}; have {self.targets()}")
-        entries = tuple(
+        return CompositeProtection(tuple(
             (self.scheme(name), pi) for name, pi in fractions.items() if pi != 0.0
-        )
-        if not entries:
-            raise ValueError(f"composite {key!r} has no nonzero fractions")
-        return CompositeProtection(entries)
+        ))
+
+    def with_composites(self, raw, source: str | Path) -> ProtectionLibrary:
+        """This library plus raw's named fraction maps, in order; errors name source, their file."""
+        composites = dict(self.composites)
+        library = replace(self, composites=composites)
+        for key, fractions in _object(raw, f"{source}: composites").items():
+            where = f"{source}: composite {key!r}"
+            if key in self.motor_classes:
+                raise ValueError(f"{where} clashes with a motor class")
+            if key in composites:
+                raise ValueError(f"{source}: composites[{key!r}] already defined by the library")
+            for name in _object(fractions, where):
+                if name not in self.schemes:
+                    raise ValueError(f"{where} references unknown scheme {name!r}")
+            composites[key] = {name: _number(x, f"{where}[{name!r}]")
+                               for name, x in fractions.items()}
+            _check_composite(library, key, where)
+        return library
 
 
-def _number(raw, where: str, fraction: bool = False) -> float:
+def _check_composite(library: ProtectionLibrary, key: str, where: str) -> None:
+    """Build key's composite, so CompositeProtection checks its fractions; errors name where."""
+    try:
+        library.composite(key)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _number(raw, where: str) -> float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"{where} must be a number, got {raw!r}")
-    if fraction and not 0.0 <= raw <= 1.0:
-        raise ValueError(f"{where} must be a fraction in [0, 1], got {raw!r}")
-    return float(raw)
+    try:
+        return float(raw)
+    except OverflowError:
+        raise ValueError(f"{where} must be a finite number, got {raw!r}") from None
 
 
-def _parse_steps(raw, where: str) -> TripZone:
+def _parse_steps(raw, where: str) -> tuple[tuple[float, float], ...]:
     if not isinstance(raw, list):
         raise ValueError(f"{where}: steps must be a list of [tau_break, v_threshold] pairs")
     steps = []
@@ -92,10 +112,7 @@ def _parse_steps(raw, where: str) -> TripZone:
             raise ValueError(f"{where}: step {k} must be a [tau_break, v_threshold] pair")
         steps.append((_number(pair[0], f"{where}: step {k} tau_break"),
                       _number(pair[1], f"{where}: step {k} v_threshold")))
-    try:
-        return TripZone(tuple(steps))
-    except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from None
+    return tuple(steps)
 
 
 def _object(raw, where: str) -> dict:
@@ -119,8 +136,11 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
         raise ValueError(f"{source}: base_schemes must be non-empty")
     for name, entry in base.items():
         where = f"{source}: base_schemes[{name!r}]"
-        zone = _parse_steps(_object(entry, where).get("steps", []), where)
-        schemes[name] = ProtectionScheme(name, zone)
+        steps = _parse_steps(_object(entry, where).get("steps", []), where)
+        try:
+            schemes[name] = ProtectionScheme(name, TripZone(steps))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
     for name, members in _object(doc.get("combinations", {}), f"{source}: combinations").items():
         if name in schemes:
@@ -142,6 +162,8 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
     motor_classes = doc.get("motor_classes", [])
     if not (isinstance(motor_classes, list) and all(isinstance(c, str) for c in motor_classes)):
         raise ValueError(f"{source}: motor_classes must be a list of names, got {motor_classes!r}")
+    if len(set(motor_classes)) != len(motor_classes):
+        raise ValueError(f"{source}: motor_classes must not repeat a name, got {motor_classes!r}")
     motor_classes = tuple(motor_classes)
     fraction_table: dict[str, tuple[float, ...]] = {}
     for name, row in _object(doc.get("fraction_table", {}), f"{source}: fraction_table").items():
@@ -155,30 +177,12 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
                 f"{source}: fraction_table[{name!r}] must have one value per motor class "
                 f"({len(motor_classes)}), got {len(row)}"
             )
-        fraction_table[name] = tuple(
-            _number(x, f"{source}: fraction_table[{name!r}]", fraction=True) for x in row)
-    for col, motor in enumerate(motor_classes):
-        total = sum(row[col] for row in fraction_table.values())
-        if abs(total - 1.0) > FRACTION_SUM_TOL:
-            raise ValueError(
-                f"{source}: motor {motor!r} fractions sum to {total!r}, expected 1.0"
-            )
+        fraction_table[name] = tuple(_number(x, f"{source}: fraction_table[{name!r}]") for x in row)
 
-    composites: dict[str, dict[str, float]] = {}
-    for key, fractions in _object(doc.get("composites", {}), f"{source}: composites").items():
-        if key in motor_classes:
-            raise ValueError(f"{source}: composite {key!r} clashes with a motor class")
-        for name in _object(fractions, f"{source}: composite {key!r}"):
-            if name not in schemes:
-                raise ValueError(f"{source}: composite {key!r} references unknown scheme {name!r}")
-        values = {name: _number(x, f"{source}: composite {key!r}[{name!r}]", fraction=True)
-                  for name, x in fractions.items()}
-        total = sum(values.values())
-        if abs(total - 1.0) > FRACTION_SUM_TOL:
-            raise ValueError(f"{source}: composite {key!r} fractions sum to {total!r}, expected 1.0")
-        composites[key] = values
-
-    return ProtectionLibrary(schemes, motor_classes, fraction_table, composites, source)
+    library = ProtectionLibrary(schemes, motor_classes, fraction_table, {}, source)
+    for motor in motor_classes:
+        _check_composite(library, motor, f"{source}: motor {motor!r}")
+    return library.with_composites(doc.get("composites", {}), source)
 
 
 def _non_finite(name: str):

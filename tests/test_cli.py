@@ -553,6 +553,13 @@ _TYPED_LIBRARY = {
      "smoothing: continuation_schedule must be a list of pairs, got {'a': 1}"),
     ({"smoothing": {"continuation_schedule": None}}, None,
      "smoothing: continuation_schedule must be a list of pairs, got None"),
+    ({"composites": {"x": {"P1": -0.5, "P2": 1.5}}}, None,
+     "config.json: composite 'x': fraction for 'P1' must be >= 0, got -0.5"),
+    ({"composites": {"y": {"P1": 0.5, "P2": 0.4}}}, None,
+     "config.json: composite 'y': fractions must sum to 1 within 1e-09 (got 0.9)"),
+    ({"composites": {"z": {"P9": 1.0}}}, None,
+     "config.json: composite 'z' references unknown scheme 'P9'"),
+    ({"composites": {"A": {"P1": 1.0}}}, None, "config.json: composite 'A' clashes with a motor class"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
     if library is not None:

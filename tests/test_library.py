@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -98,11 +100,15 @@ def test_parse_rejects_bad_composite_sum():
     ("base_schemes", "P2", {"steps": [[None, 60.0]]}, "step 0 tau_break must be a number"),
     ("composites", "demo", {"P1": None}, "composite 'demo'['P1'] must be a number, got None"),
     ("fraction_table", "P1", [-0.1],
-     "<memory>: fraction_table['P1'] must be a fraction in [0, 1], got -0.1"),
+     "<memory>: motor 'A': fraction for 'P1' must be >= 0, got -0.1"),
     ("composites", "demo", {"P1": -0.5, "P1-P2": 1.5},
-     "<memory>: composite 'demo'['P1'] must be a fraction in [0, 1], got -0.5"),
+     "<memory>: composite 'demo': fraction for 'P1' must be >= 0, got -0.5"),
     ("composites", "demo", {"P1": 1.5, "P1-P2": -0.5},
-     "<memory>: composite 'demo'['P1'] must be a fraction in [0, 1], got 1.5"),
+     "<memory>: composite 'demo': fraction for 'P1' must be <= 1, got 1.5"),
+    ("base_schemes", "", {"steps": [[0.1, 50.0]]},
+     "<memory>: base_schemes['']: scheme name must be non-empty"),
+    ("composites", "demo", {"P1": 10**400},
+     "<memory>: composite 'demo'['P1'] must be a finite number, got 1000"),
 ])
 def test_parse_rejects_mistyped_values(section, key, value, message):
     doc = _base_doc()
@@ -112,10 +118,14 @@ def test_parse_rejects_mistyped_values(section, key, value, message):
     assert message in str(info.value)
 
 
-def test_parse_rejects_mistyped_motor_classes():
+@pytest.mark.parametrize("value, message", [
+    (5, "motor_classes must be a list of names, got 5"),
+    (["A", "A"], "<memory>: motor_classes must not repeat a name, got ['A', 'A']"),
+], ids=["not-a-list", "repeated-name"])
+def test_parse_rejects_mistyped_motor_classes(value, message):
     doc = _base_doc()
-    doc["motor_classes"] = 5
-    with pytest.raises(ValueError, match="motor_classes must be a list of names, got 5"):
+    doc["motor_classes"] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
         parse_library(doc)
 
 
