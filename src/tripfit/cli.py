@@ -26,7 +26,7 @@ from .evaluation import (
     uncertainty_sweep,
 )
 from .library import _decode_json
-from .protection import TAU_MAX, V_MAX, grid_evaluate
+from .protection import TAU_MAX, V_MAX, CompositeProtection, grid_evaluate
 from .regression import fit, harden, model_from_jsonable
 from .sampling import SamplingError, _write_csv, sample_training
 
@@ -48,11 +48,17 @@ def _fit_result_path(cfg: ProjectConfig, target: str) -> Path:
     return cfg.output_dir / f"fit_{target}.json"
 
 
-# The config entries a fitted model depends on.
-_FIT_INPUTS = ("seed", "protection_library", "sampler", "smoothing", "fit", "composites")
+# The config entries a fitted model depends on, besides its composite.
+_FIT_INPUTS = ("seed", "sampler", "smoothing", "fit")
 
 
-def _load_fitted_model(cfg: ProjectConfig, target: str):
+def _composite_record(comp: CompositeProtection) -> list:
+    """What fit_*.json records of the composite it fitted: each entry's scheme, fraction, steps."""
+    return [{"scheme": scheme.name, "fraction": pi,
+             "steps": [list(step) for step in scheme.zone.steps]} for scheme, pi in comp.entries]
+
+
+def _load_fitted_model(cfg: ProjectConfig, target: str, comp: CompositeProtection):
     """The model of fit_<target>.json, refused if malformed or fitted under other inputs."""
     path = _fit_result_path(cfg, target)
     if not path.is_file():
@@ -72,6 +78,8 @@ def _load_fitted_model(cfg: ProjectConfig, target: str):
         if isinstance(old, dict) and isinstance(new, dict):
             key += "." + min(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
         raise ConfigError(f"{path} was fitted under a different {key}; {rerun}")
+    if doc.get("composite") != _composite_record(comp):
+        raise ConfigError(f"{path} was fitted to a different composite {target}; {rerun}")
     try:
         return model_from_jsonable(doc["model"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -103,6 +111,7 @@ def cmd_fit(cfg: ProjectConfig, target: str) -> int:
     doc = {
         "kind": "fit_result",
         "target": target,
+        "composite": _composite_record(comp),
         **result.to_jsonable(),
         "mae": report.epsilon,
         "mae_m_points": report.m_points,
@@ -130,7 +139,7 @@ def cmd_grid(cfg: ProjectConfig, target: str, grid_target: str, resolution: int)
     if grid_target == "true":
         evaluand = comp
     else:
-        evaluand = harden(_load_fitted_model(cfg, target))
+        evaluand = harden(_load_fitted_model(cfg, target, comp))
     tau_grid = np.linspace(0.0, TAU_MAX, resolution)
     v_grid = np.linspace(0.0, V_MAX, resolution)
     matrix = grid_evaluate(evaluand, tau_grid, v_grid)
@@ -147,7 +156,7 @@ def cmd_grid(cfg: ProjectConfig, target: str, grid_target: str, resolution: int)
 
 def cmd_mae(cfg: ProjectConfig, target: str) -> int:
     comp = cfg.composite_for(target)
-    model = _load_fitted_model(cfg, target)
+    model = _load_fitted_model(cfg, target, comp)
     report = mae(harden(model), comp, cfg.sampler.m_eval, cfg.seed)
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     _write_json(cfg.output_dir / f"mae_{target}.json", {
@@ -168,7 +177,7 @@ def cmd_sweep(cfg: ProjectConfig, target: str) -> int:
     missing = [name for name in spec.targets if name not in comp.names]
     if missing:
         raise ConfigError(f"uncertainty.targets {missing} not in composite {target}")
-    model = _load_fitted_model(cfg, target)
+    model = _load_fitted_model(cfg, target, comp)
     report = uncertainty_sweep(comp, model, spec,
                                sampler=cfg.sampler, smoothing=cfg.smoothing,
                                fit_config=cfg.fit)

@@ -36,7 +36,7 @@ from pathlib import Path
 from .evaluation import UncertaintySpec
 from .library import BUILTIN, ProtectionLibrary, _decode_json, parse_library, read_library
 from .regression import FitConfig, SmoothingConfig
-from .sampling import SamplerConfig
+from .sampling import SamplerConfig, _known, _typed
 
 # The sections that configure one pipeline stage each, by the dataclass that validates them.
 _SECTIONS = {
@@ -51,27 +51,16 @@ class ConfigError(ValueError):
     """A configuration file failed to parse or validate."""
 
 
-def _section(doc: dict, name: str, where: str) -> dict:
-    raw = doc.get(name, {})
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: section {name!r} must be an object")
-    return dict(raw)
-
-
-def _build(cls, raw: dict, where: str, seed: int):
+def _build(cls, raw, where: str, seed: int):
     """The section's dataclass, given the global seed if it has a seed field."""
-    if "seed" in raw:
-        raise ConfigError(f"{where}: 'seed' is set at the top level only")
     fields = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - fields
-    if unknown:
-        raise ConfigError(
-            f"{where}: unknown field(s) {sorted(unknown)}; known: {sorted(fields - {'seed'})}"
-        )
+    if "seed" in _typed(dict, raw, where):
+        raise ValueError(f"{where}: 'seed' is set at the top level only")
+    _known(raw, fields - {"seed"}, where)
     try:
         return cls(**raw, **({"seed": seed} if "seed" in fields else {}))
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from None
+        raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -102,42 +91,32 @@ def load_config(
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = _decode_json(path.read_bytes(), path)
+        doc = _typed(dict, _decode_json(path.read_bytes(), path), f"{path}: top level")
+        _known(doc, ("protection_library", "output_dir", "seed", "composites", *_SECTIONS), path)
+        for key in ("protection_library", "output_dir"):
+            _typed(str, doc.get(key, ""), f"{path}: {key}")
+        seed = _typed(int, seed_override if seed_override is not None else doc.get("seed", 0),
+                      f"{path}: seed")
+        if seed < 0:
+            raise ValueError(f"{path}: seed must be >= 0, got {seed}")
+
+        lib_ref = doc.get("protection_library", BUILTIN)
+        lib_path = lib_ref if lib_ref == BUILTIN else str((path.parent / lib_ref).resolve())
+        try:
+            library = parse_library(read_library(lib_path), source=lib_path)
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"{path}: protection_library: {exc}") from None
+        # The config's own composites are checked by the same code, under this file's name.
+        library = library.with_composites(doc.get("composites", {}), path)
+
+        sections = {name: _build(cls, doc.get(name, {}), f"{path}: {name}", seed)
+                    for name, cls in _SECTIONS.items()}
+        for key in ("targets", "matrix_targets"):
+            for name in getattr(sections["uncertainty"], key) or ():
+                if name not in library.schemes:
+                    raise ValueError(f"{path}: uncertainty.{key}: unknown scheme {name!r}")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    unknown = set(doc) - {"protection_library", "output_dir", "seed", "composites", *_SECTIONS}
-    if unknown:
-        raise ConfigError(f"{path}: unknown top-level field(s) {sorted(unknown)}")
-    for key in ("protection_library", "output_dir"):
-        if not isinstance(doc.get(key, ""), str):
-            raise ConfigError(f"{path}: {key} must be a string")
-
-    lib_ref = doc.get("protection_library", BUILTIN)
-    lib_path = lib_ref if lib_ref == BUILTIN else str((path.parent / lib_ref).resolve())
-    extra = _section(doc, "composites", path)
-    try:
-        library = parse_library(read_library(lib_path), source=lib_path)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{path}: protection_library: {exc}") from None
-    # The config's own composites are checked by the same code, under this file's name.
-    try:
-        library = library.with_composites(extra, path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-    seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"{path}: seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"{path}: seed must be >= 0, got {seed}")
-    sections = {name: _build(cls, _section(doc, name, path), f"{path}: {name}", seed)
-                for name, cls in _SECTIONS.items()}
-    for key in ("targets", "matrix_targets"):
-        for name in getattr(sections["uncertainty"], key) or ():
-            if name not in library.schemes:
-                raise ConfigError(f"{path}: uncertainty.{key}: unknown scheme {name!r}")
 
     out_dir = Path(out_override) if out_override is not None else Path(doc.get("output_dir", "out"))
     echo = {

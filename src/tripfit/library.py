@@ -17,7 +17,11 @@ its zone is the union of the members' zones.  `fraction_table` rows carry one
 load fraction per motor class, and `motor_classes` must be distinct.
 `composites` are extra named fraction maps (used for ad-hoc test mixes).
 Every class column and composite is checked by building its
-CompositeProtection, so fractions lie in [0, 1] and sum to 1.
+CompositeProtection, so fractions lie in [0, 1] and sum to 1.  Each section's
+type is checked by sampling._checked, as config sections are; an unknown key
+at the top level or in a base scheme is refused, and every base scheme needs
+`steps` (`[]` is a zone that never trips).  `description` and a scheme's
+`label` are free text.
 """
 
 from __future__ import annotations
@@ -28,10 +32,16 @@ from importlib import resources
 from pathlib import Path
 
 from .protection import CompositeProtection, ProtectionScheme, TripZone, combine_schemes
+from .sampling import _known, _typed
 
 EXPECTED_UNITS = {"tau_break": "seconds", "v_threshold": "percent_of_nominal"}
 
 BUILTIN = "builtin"
+
+# The keys a library document and a base-scheme entry may hold.
+_LIBRARY_KEYS = ("description", "units", "base_schemes", "combinations", "motor_classes",
+                 "fraction_table", "composites")
+_SCHEME_KEYS = ("label", "steps")
 
 
 @dataclass(frozen=True)
@@ -71,17 +81,17 @@ class ProtectionLibrary:
         """This library plus raw's named fraction maps, in order; errors name source, their file."""
         composites = dict(self.composites)
         library = replace(self, composites=composites)
-        for key, fractions in _object(raw, f"{source}: composites").items():
+        for key, fractions in _typed(dict, raw, f"{source}: composites").items():
             where = f"{source}: composite {key!r}"
             if key in self.motor_classes:
                 raise ValueError(f"{where} clashes with a motor class")
             if key in composites:
                 raise ValueError(f"{source}: composites[{key!r}] already defined by the library")
-            for name in _object(fractions, where):
+            fractions = _typed(dict[str, float], fractions, where)
+            for name in fractions:
                 if name not in self.schemes:
                     raise ValueError(f"{where} references unknown scheme {name!r}")
-            composites[key] = {name: _number(x, f"{where}[{name!r}]")
-                               for name, x in fractions.items()}
+            composites[key] = {name: float(pi) for name, pi in fractions.items()}
             _check_composite(library, key, where)
         return library
 
@@ -94,36 +104,10 @@ def _check_composite(library: ProtectionLibrary, key: str, where: str) -> None:
         raise ValueError(f"{where}: {exc}") from None
 
 
-def _number(raw, where: str) -> float:
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ValueError(f"{where} must be a number, got {raw!r}")
-    try:
-        return float(raw)
-    except OverflowError:
-        raise ValueError(f"{where} must be a finite number, got {raw!r}") from None
-
-
-def _parse_steps(raw, where: str) -> tuple[tuple[float, float], ...]:
-    if not isinstance(raw, list):
-        raise ValueError(f"{where}: steps must be a list of [tau_break, v_threshold] pairs")
-    steps = []
-    for k, pair in enumerate(raw):
-        if not (isinstance(pair, (list, tuple)) and len(pair) == 2):
-            raise ValueError(f"{where}: step {k} must be a [tau_break, v_threshold] pair")
-        steps.append((_number(pair[0], f"{where}: step {k} tau_break"),
-                      _number(pair[1], f"{where}: step {k} v_threshold")))
-    return tuple(steps)
-
-
-def _object(raw, where: str) -> dict:
-    if not isinstance(raw, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    return raw
-
-
 def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
     """Validate a decoded library document and resolve all schemes."""
-    units = _object(doc, f"{source}: library document").get("units")
+    _known(_typed(dict, doc, f"{source}: library document"), _LIBRARY_KEYS, source)
+    units = doc.get("units")
     if units != EXPECTED_UNITS:
         raise ValueError(
             f"{source}: units must be exactly {EXPECTED_UNITS} (got {units!r}); "
@@ -131,23 +115,24 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
         )
 
     schemes: dict[str, ProtectionScheme] = {}
-    base = _object(doc.get("base_schemes", {}), f"{source}: base_schemes")
+    base = _typed(dict[str, dict], doc.get("base_schemes", {}), f"{source}: base_schemes")
     if not base:
         raise ValueError(f"{source}: base_schemes must be non-empty")
     for name, entry in base.items():
         where = f"{source}: base_schemes[{name!r}]"
-        steps = _parse_steps(_object(entry, where).get("steps", []), where)
+        _known(entry, _SCHEME_KEYS, where)
+        if "steps" not in entry:
+            raise ValueError(f"{where}: missing field 'steps' ([] is a zone that never trips)")
+        steps = _typed(tuple[tuple[float, float], ...], entry["steps"], f"{where}: steps")
         try:
             schemes[name] = ProtectionScheme(name, TripZone(steps))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 
-    for name, members in _object(doc.get("combinations", {}), f"{source}: combinations").items():
+    for name, members in _typed(dict, doc.get("combinations", {}), f"{source}: combinations").items():
         if name in schemes:
             raise ValueError(f"{source}: combination {name!r} clashes with a base scheme")
-        if not (isinstance(members, list) and all(isinstance(m, str) for m in members)):
-            raise ValueError(f"{source}: combination {name!r} must be a list of base scheme "
-                             f"names, got {members!r}")
+        members = _typed(tuple[str, ...], members, f"{source}: combination {name!r}")
         try:
             combined = combine_schemes([schemes[m] for m in members])
         except KeyError as exc:
@@ -159,26 +144,21 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
             )
         schemes[name] = combined
 
-    motor_classes = doc.get("motor_classes", [])
-    if not (isinstance(motor_classes, list) and all(isinstance(c, str) for c in motor_classes)):
-        raise ValueError(f"{source}: motor_classes must be a list of names, got {motor_classes!r}")
+    motor_classes = _typed(tuple[str, ...], doc.get("motor_classes", []), f"{source}: motor_classes")
     if len(set(motor_classes)) != len(motor_classes):
-        raise ValueError(f"{source}: motor_classes must not repeat a name, got {motor_classes!r}")
-    motor_classes = tuple(motor_classes)
-    fraction_table: dict[str, tuple[float, ...]] = {}
-    for name, row in _object(doc.get("fraction_table", {}), f"{source}: fraction_table").items():
+        raise ValueError(f"{source}: motor_classes must not repeat a name, "
+                         f"got {list(motor_classes)!r}")
+    table = _typed(dict[str, tuple[float, ...]], doc.get("fraction_table", {}),
+                   f"{source}: fraction_table")
+    for name, row in table.items():
         if name not in schemes:
             raise ValueError(f"{source}: fraction_table row {name!r} is not a known scheme")
-        if not isinstance(row, list):
-            raise ValueError(f"{source}: fraction_table[{name!r}] must be a list of fractions, "
-                             f"got {row!r}")
         if len(row) != len(motor_classes):
             raise ValueError(
                 f"{source}: fraction_table[{name!r}] must have one value per motor class "
                 f"({len(motor_classes)}), got {len(row)}"
             )
-        fraction_table[name] = tuple(_number(x, f"{source}: fraction_table[{name!r}]") for x in row)
-
+    fraction_table = {name: tuple(map(float, row)) for name, row in table.items()}
     library = ProtectionLibrary(schemes, motor_classes, fraction_table, {}, source)
     for motor in motor_classes:
         _check_composite(library, motor, f"{source}: motor {motor!r}")

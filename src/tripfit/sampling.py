@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import functools
 import numbers
+import sys
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,34 +36,63 @@ class SamplingError(RuntimeError):
 _SCALARS = {int: ("an integer", numbers.Integral), float: ("a real number", numbers.Real),
             bool: ("a boolean", bool), str: ("a string", str)}
 
-# A dataclass's resolved field annotations, worked out at its first construction.
+# A dataclass's resolved field annotations, worked out at its first construction,
+# and each hint's arguments and origin, worked out once per hint.
 _hints = functools.cache(typing.get_type_hints)
+_args = functools.cache(typing.get_args)
+_origin = functools.cache(typing.get_origin)
 
 
 def _checked(hint, value, name: str, entry: str | None = None):
     """value, lists made tuples, if it is of type hint; else TypeError or ValueError.
 
-    hint is a _SCALARS key, tuple[X, ...], tuple[X, X] or X | None.  A wrong
-    scalar raises TypeError and a wrong container ValueError, naming the value
-    `name` and each entry, at any depth, `entry` (default "{name} entry").
+    hint is a _SCALARS key, tuple[X, ...], tuple[X, X], X | None, dict or
+    dict[str, X].  A wrong scalar raises TypeError; a wrong container, or a
+    float hint's inf, nan or integer past the largest float, ValueError.
+    Messages name the value `name`, each tuple entry, at any depth, `entry`
+    (default "{name} entry") and each dict value "{name}[key]".
     """
     if hint in _SCALARS:
         what, kind = _SCALARS[hint]
         # A bool is neither an int nor a float.
         if not isinstance(value, kind) or isinstance(value, bool) is not (hint is bool):
             raise TypeError(f"{name} must be {what}, got {value!r}")
+        if hint is float and not -sys.float_info.max <= value <= sys.float_info.max:
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
         return value
+    if hint is dict or _origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise ValueError(f"{name} must be a JSON object, got {value!r}")
+        if hint is dict:
+            return value
+        kind = _args(hint)[1]
+        return {key: _checked(kind, x, f"{name}[{key!r}]") for key, x in value.items()}
     entry = entry or f"{name} entry"
-    args = typing.get_args(hint)
+    args = _args(hint)
     if type(None) in args:
         return None if value is None else _checked(args[0], value, name, entry)
     many = args[-1] is Ellipsis
     if not (isinstance(value, (list, tuple)) and (many or len(value) == len(args))):
         what = ("a pair" if not many else
-                "a list of pairs" if typing.get_origin(args[0]) is tuple else "a list")
+                "a list of pairs" if _origin(args[0]) is tuple else "a list")
         raise ValueError(f"{name} must be {what}, got {value!r}")
     kinds = args[:1] * len(value) if many else args
     return tuple(_checked(kind, x, entry, entry) for kind, x in zip(kinds, value))
+
+
+def _typed(hint, value, name: str):
+    """_checked(hint, value, name) for a value read from JSON: every refusal is a ValueError."""
+    try:
+        return _checked(hint, value, name)
+    except TypeError as exc:
+        raise ValueError(str(exc)) from None
+
+
+def _known(raw: dict, known, where) -> None:
+    """Refuse a key of the JSON object raw that is not in known; the ValueError names where."""
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}; known: {sorted(known)}")
 
 
 def _check_fields(obj) -> None:

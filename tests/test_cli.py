@@ -12,6 +12,7 @@ import pytest
 
 from tripfit.cli import main
 from tripfit.config import ConfigError, load_config
+from tripfit.library import BUILTIN, read_library
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXAMPLE_CONFIG = REPO_ROOT / "configs" / "example_project.json"
@@ -242,11 +243,11 @@ def test_cli_fit_every_motor_class(tmp_path):
 # output_dir, so the runs use a relative --out and the digests do not depend
 # on where the test runs.
 _GOLDEN_ARTIFACTS = {
-    "fit_A.json": "ea92efaacf6db792c219c71e04dac1a52a39c8aa7c1a545ca1f28a3cf7479e08",
-    "fit_B.json": "27d2cf28ac4b3b1b7ec86c845049f2378f21013f561cac1e3f4a7b475b94c3b7",
-    "fit_C.json": "932255d6322817266b2c5db3702f198ea4f5bc5c4cd06f74378a9a56f67063a0",
-    "fit_D.json": "2a5fdc67add5ca5b5a63cd6b7708024b9273a34049b0fd3e744ffef8f63bd079",
-    "fit_mixed_commercial.json": "b96e5d4d186bef696c00bf28e711bfca0d4acac4807d634c3083210e9ae2ecf2",
+    "fit_A.json": "105cb39d48a2f35ed6d5076f41e96bed43dc608ed265440b145513175474d50b",
+    "fit_B.json": "9a694012fbeab00cd65f02fe649e478147893af9d174dce8f6bed961138713f2",
+    "fit_C.json": "e1ae569b1d57210b25ac4d90192035a321ca016a91972911f6c18d4f242cce33",
+    "fit_D.json": "56212917c9ceaa39416950c4d9c3bfdd6bdb140c23f6f3b4956afffc3724722a",
+    "fit_mixed_commercial.json": "0ba82fdbd584790b05f56a280b13db011345ca05e2c856db0cbcb2b61e73045b",
     "grid_mixed_commercial_fitted.csv": "f093e4289ce94d9e794c723491cf56b709ea4f2600f4be2e01d2bee332f3413f",
     "grid_mixed_commercial_true.csv": "256e256a14d229e8b9c0fd0e7eb2ec16cb14b934c51af11534f0a5b8ff38bb26",
     "mae_mixed_commercial.json": "49f2699377f4c1a8e5c1e7710c04507b3110ec286bfc19eea92daa7618bf359b",
@@ -278,7 +279,7 @@ def test_cli_artifact_golden_digests(tmp_path, monkeypatch):
 
 
 _GOLDEN_REFIT_ARTIFACTS = {
-    "fit_mixed_commercial.json": "c05ffdcfcff2a6bd7ae802838d26ee9e214fd272b660d6d2e46a661e3bacf614",
+    "fit_mixed_commercial.json": "36c7d9bdd3c64593737668c7ba094bc34cec3edb7eeed2739a3a79716271a3a9",
     "sweep_mixed_commercial_long.csv": "12ee992827689d5e3ea9466db7f27dc2a899f751ae923ddfe891562e5e765380",
     "sweep_mixed_commercial_summary.csv": "ce4f34813b174805cba5ad91a8f130151931ff5996d7bc2a69ffa302ccb02d9f",
     "train_mixed_commercial.csv": "84d9f395165d2e6a4e561ddbcdccfd8ea253676e61b8a94a57b89fdce1f229c7",
@@ -299,6 +300,9 @@ def test_cli_refit_sweep_golden_digests(tmp_path, monkeypatch):
 def test_cli_grid(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
+    assert main(["grid", "--config", str(path), "--motor", "C", "--target", "true",
+                 "--resolution", "1"]) == 2
+    assert capsys.readouterr().err == "error: --resolution must be >= 2\n"
     assert main(["grid", "--config", str(path), "--motor", "C", "--target", "true",
                  "--resolution", "2"]) == 0
     grid_path = tmp_path / "out" / "grid_C_true.csv"
@@ -378,6 +382,23 @@ def test_cli_rejects_fit_from_other_seed_or_setup(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["mae", "--config", str(path), "--motor", "C"]) == 0
 
+    # Nor are other composites, or the library's path: the fit records its own composite.
+    extra = _small_config(tmp_path, composites={"extra": {"P1": 1.0}})
+    assert main(["mae", "--config", str(extra), "--motor", "C"]) == 0
+    library = read_library(BUILTIN)
+    (tmp_path / "lib.json").write_text(json.dumps(library))
+    moved = _small_config(tmp_path, protection_library="lib.json")
+    assert main(["mae", "--config", str(moved), "--motor", "C"]) == 0
+    # But a step of P2, a member of C's one scheme P2-P5, is.
+    library["base_schemes"]["P2"]["steps"][0][1] += 5.0
+    (tmp_path / "lib.json").write_text(json.dumps(library))
+    capsys.readouterr()
+    for verb in ("mae", "sweep"):
+        assert main([verb, "--config", str(moved), "--motor", "C"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'out' / 'fit_C.json'} was fitted to a "
+                              "different composite C; rerun `tripfit fit --motor C`"), err
+
 
 def test_cli_rejects_fit_echoing_alpha_tau_and_alpha_v(tmp_path, capsys):
     # smoothing has no alpha_tau or alpha_v field; a fit whose echo holds them is stale.
@@ -447,7 +468,10 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys):
     (lambda raw: re.sub(rb'"pi2": [^,]+', b'"pi2": 0',
                         re.sub(rb'"pi1": [^,]+', b'"pi1": true', raw)),
      "holds no valid model (TypeError('model parameter must be a real number, got True'))"),
-], ids=["truncated", "top_level_list", "no_model", "bad_byte", "nan", "bool_param"])
+    (lambda raw: re.sub(rb'"tau1_star_s": [^,]+', b'"tau1_star_s": 1e400', raw),
+     "holds no valid model (ValueError('model parameter must be a finite number, got inf'))"),
+], ids=["truncated", "top_level_list", "no_model", "bad_byte", "nan", "bool_param",
+        "overflowing_param"])
 def test_cli_rejects_malformed_fit_result(tmp_path, capsys, corrupt, message):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
@@ -493,8 +517,8 @@ _TYPED_LIBRARY = {
 
 
 @pytest.mark.parametrize("overrides, library, message", [
-    ({"composites": ["x"]}, None, "section 'composites' must be an object"),
-    ({"composites": "abc"}, None, "section 'composites' must be an object"),
+    ({"composites": ["x"]}, None, "config.json: composites must be a JSON object, got ['x']"),
+    ({"composites": "abc"}, None, "config.json: composites must be a JSON object, got 'abc'"),
     ({"composites": {"demo": ["P1"]}}, None, "composite 'demo' must be a JSON object"),
     ({}, _LIST_ENTRY_LIBRARY, "base_schemes['P1'] must be a JSON object"),
     ({"uncertainty": {"matrix_targets": ["P2", ["x"]]}}, None,
@@ -504,9 +528,9 @@ _TYPED_LIBRARY = {
     ({"protection_library": 5}, None, "protection_library must be a string"),
     ({"output_dir": None}, None, "output_dir must be a string"),
     ({}, {**_TYPED_LIBRARY, "fraction_table": {"P1": 1.0}},
-     "fraction_table['P1'] must be a list of fractions, got 1.0"),
+     "fraction_table['P1'] must be a list, got 1.0"),
     ({}, {**_TYPED_LIBRARY, "combinations": {"P1-P2": 5}},
-     "combination 'P1-P2' must be a list of base scheme names, got 5"),
+     "combination 'P1-P2' must be a list, got 5"),
     ({"uncertainty": {"matrix_targets": ["P2", "P2"]}}, None,
      "uncertainty: matrix_targets must name two different schemes, got ['P2', 'P2']"),
     ({"uncertainty": {"targets": ["P2", "P1", "P2"]}}, None,
@@ -560,12 +584,31 @@ _TYPED_LIBRARY = {
     ({"composites": {"z": {"P9": 1.0}}}, None,
      "config.json: composite 'z' references unknown scheme 'P9'"),
     ({"composites": {"A": {"P1": 1.0}}}, None, "config.json: composite 'A' clashes with a motor class"),
+    ({"fit": {"gtol": "1e400"}}, None, "config.json: fit: gtol must be a finite number, got inf"),
+    ({"sampler": {"beta_tau": 10**400}}, None,
+     "config.json: sampler: beta_tau must be a finite number, got 1000"),
+    ({"smoothing": {"continuation_schedule": [[10.0, 0.4], [10**400, 2.0]]}}, None,
+     "config.json: smoothing: continuation_schedule entry must be a finite number, got 1000"),
+    ({}, {**_TYPED_LIBRARY, "fraction_table": {"P1": ["1e400"]}},
+     "lib.json: fraction_table['P1'] entry must be a finite number, got inf"),
+    ({}, {**_TYPED_LIBRARY, "base_schemes": {"P1": {"steps": [["1e400", 50.0]]}}},
+     "lib.json: base_schemes['P1']: steps entry must be a finite number, got inf"),
+    ({"composites": {"x": {"P1": "1e400"}}}, None,
+     "config.json: composite 'x'['P1'] must be a finite number, got inf"),
+    ({}, {**_TYPED_LIBRARY, "base_schemes": {}}, "lib.json: base_schemes must be non-empty"),
+    ({"composites": {"mixed_commercial": {"P1": 1.0}}}, None,
+     "config.json: composites['mixed_commercial'] already defined by the library"),
+    ({}, {**_TYPED_LIBRARY, "composite": {"demo": {"P1": 1.0}}},
+     "lib.json: unknown field(s) ['composite']; known: ['base_schemes', 'combinations', "
+     "'composites', 'description', 'fraction_table', 'motor_classes', 'units']"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
+    # A quoted "1e400" stands for the bare literal, which json.dumps cannot write.
     if library is not None:
-        (tmp_path / "lib.json").write_text(json.dumps(library))
+        (tmp_path / "lib.json").write_text(json.dumps(library).replace('"1e400"', "1e400"))
         overrides = {**overrides, "protection_library": "lib.json"}
     path = _small_config(tmp_path, **overrides)
+    path.write_text(path.read_text().replace('"1e400"', "1e400"))
     assert main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err

@@ -106,6 +106,8 @@ def test_perturb_gamma_boundary():
     assert out.fractions[0] == 0.0 and out.fractions[1] == 1.0
     with pytest.raises(ValueError, match="below 0"):
         perturb_fractions(comp, {"a": -1.0001})
+    with pytest.raises(ValueError, match="perturbed fractions sum to 0; cannot renormalize"):
+        perturb_fractions(comp, {"a": -1.0, "b": -1.0})
 
 
 def test_perturb_unknown_target():
@@ -337,6 +339,8 @@ def test_uncertainty_spec_validation():
         UncertaintySpec(gamma_levels="0")
     with pytest.raises(ValueError, match="targets must be a list"):
         UncertaintySpec(targets="Z1")
+    with pytest.raises(ValueError, match="m_eval must be >= 1"):
+        UncertaintySpec(m_eval=0)
 
 
 # ----------------------------------------------------------------- matrix

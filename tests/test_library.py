@@ -93,12 +93,14 @@ def test_parse_rejects_bad_composite_sum():
 
 
 @pytest.mark.parametrize("section, key, value, message", [
-    ("fraction_table", "P1", 1.0, "fraction_table['P1'] must be a list of fractions, got 1.0"),
-    ("fraction_table", "P1", [None], "fraction_table['P1'] must be a number, got None"),
-    ("combinations", "P1-P2", 5, "combination 'P1-P2' must be a list of base scheme names"),
-    ("combinations", "P1-P2", [["P1"], "P2"], "combination 'P1-P2' must be a list"),
-    ("base_schemes", "P2", {"steps": [[None, 60.0]]}, "step 0 tau_break must be a number"),
-    ("composites", "demo", {"P1": None}, "composite 'demo'['P1'] must be a number, got None"),
+    ("fraction_table", "P1", 1.0, "fraction_table['P1'] must be a list, got 1.0"),
+    ("fraction_table", "P1", [None], "fraction_table['P1'] entry must be a real number, got None"),
+    ("combinations", "P1-P2", 5, "combination 'P1-P2' must be a list, got 5"),
+    ("combinations", "P1-P2", [["P1"], "P2"],
+     "combination 'P1-P2' entry must be a string, got ['P1']"),
+    ("base_schemes", "P2", {"steps": [[None, 60.0]]},
+     "<memory>: base_schemes['P2']: steps entry must be a real number, got None"),
+    ("composites", "demo", {"P1": None}, "composite 'demo'['P1'] must be a real number, got None"),
     ("fraction_table", "P1", [-0.1],
      "<memory>: motor 'A': fraction for 'P1' must be >= 0, got -0.1"),
     ("composites", "demo", {"P1": -0.5, "P1-P2": 1.5},
@@ -109,6 +111,15 @@ def test_parse_rejects_bad_composite_sum():
      "<memory>: base_schemes['']: scheme name must be non-empty"),
     ("composites", "demo", {"P1": 10**400},
      "<memory>: composite 'demo'['P1'] must be a finite number, got 1000"),
+    ("base_schemes", "P2", {"step": [[0.2, 60.0]]},
+     "<memory>: base_schemes['P2']: unknown field(s) ['step']; known: ['label', 'steps']"),
+    ("base_schemes", "P2", {"label": "relay"},
+     "<memory>: base_schemes['P2']: missing field 'steps' ([] is a zone that never trips)"),
+    ("combinations", "P1", ["P1"], "<memory>: combination 'P1' clashes with a base scheme"),
+    ("fraction_table", "P1", [0.4, 0.6],
+     "<memory>: fraction_table['P1'] must have one value per motor class (1), got 2"),
+    ("fraction_table", "P1", [float("inf")],
+     "<memory>: fraction_table['P1'] entry must be a finite number, got inf"),
 ])
 def test_parse_rejects_mistyped_values(section, key, value, message):
     doc = _base_doc()
@@ -119,7 +130,7 @@ def test_parse_rejects_mistyped_values(section, key, value, message):
 
 
 @pytest.mark.parametrize("value, message", [
-    (5, "motor_classes must be a list of names, got 5"),
+    (5, "<memory>: motor_classes must be a list, got 5"),
     (["A", "A"], "<memory>: motor_classes must not repeat a name, got ['A', 'A']"),
 ], ids=["not-a-list", "repeated-name"])
 def test_parse_rejects_mistyped_motor_classes(value, message):

@@ -47,6 +47,8 @@ def test_zone_validation():
         TripZone(((-0.1, 60.0),))
     with pytest.raises(ValueError):
         TripZone(((0.1, 101.0),))
+    with pytest.raises(ValueError, match=r"step \(inf, 60.0\) must be finite"):
+        TripZone(((float("inf"), 60.0),))
 
 
 @given(trip_zones(), fault_points())
@@ -126,6 +128,8 @@ def test_combine_schemes_sorted_name():
     assert combo.name == "P1-P4-P5"
     again = combine_schemes([combo, p1])
     assert again.name == "P1-P4-P5"
+    with pytest.raises(ValueError, match="need at least one scheme to combine"):
+        combine_schemes([])
 
 
 # ------------------------------------------------------------- composite

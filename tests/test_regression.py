@@ -225,6 +225,10 @@ def test_model_validation_and_canonical():
         SimplifiedModel(0.6, 1.0, 50.0, 0.6, 2.0, 60.0)
     with pytest.raises(ValueError):
         SimplifiedModel(0.5, 6.0, 50.0, 0.5, 2.0, 60.0)
+    with pytest.raises(ValueError, match=r"fractions must lie in \[0, 1\], got -0.2, 1.2"):
+        SimplifiedModel(-0.2, 1.0, 50.0, 1.2, 2.0, 60.0)
+    with pytest.raises(ValueError, match=r"v_star must lie in \[0, 100.0\], got 120.0"):
+        SimplifiedModel(0.5, 1.0, 120.0, 0.5, 2.0, 60.0)
     m = SimplifiedModel(0.3, 2.0, 40.0, 0.7, 1.0, 60.0)
     c = m.canonical()
     assert (c.tau1_star, c.v1_star, c.pi1) == (1.0, 60.0, 0.7)
@@ -244,6 +248,11 @@ def test_smoothing_config_validation():
     with pytest.raises(ValueError, match="must be a list of pairs, got None"):
         SmoothingConfig(None)
     assert SmoothingConfig([[40, 1.5]]).continuation_schedule == ((40.0, 1.5),)
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        FitConfig(max_iters=0)
+    for tolerances in ({"gtol": 0.0}, {"ptol": 0}):
+        with pytest.raises(ValueError, match="tolerances must be > 0"):
+            FitConfig(**tolerances)
 
 
 # ------------------------------------------------------------------ cost

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import sys
 from dataclasses import asdict, dataclass, replace
 
 import hypothesis.strategies as st
@@ -21,7 +22,7 @@ from tripfit import (
 )
 from tripfit.config import _SECTIONS
 from tripfit.rng import rng_stream
-from tripfit.sampling import _check_fields, _write_csv, lhs_box, lhs_unit
+from tripfit.sampling import _check_fields, _checked, _write_csv, lhs_box, lhs_unit
 
 
 # ---------------------------------------------------------------- weight
@@ -131,11 +132,44 @@ class _EachKind:
     ("pairs", {}, ValueError, "pairs must be a list of pairs, got {}"),
     ("pairs", [[1.0, 2.0], [3.0]], ValueError, "pairs entry must be a pair, got [3.0]"),
     ("pairs", [[1.0, "2"]], TypeError, "pairs entry must be a real number, got '2'"),
+    ("real", float("inf"), ValueError, "real must be a finite number, got inf"),
+    ("real", float("nan"), ValueError, "real must be a finite number, got nan"),
+    ("reals", [1.0, float("-inf")], ValueError, "reals entry must be a finite number, got -inf"),
+    ("pairs", [[1.0, float("nan")]], ValueError, "pairs entry must be a finite number, got nan"),
 ])
 def test_check_fields_refuses_a_wrong_value_of_each_kind(field, value, error, message):
     with pytest.raises(error) as info:
         _EachKind(**{field: value})
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("hint, value, error, message", [
+    (dict, [1], ValueError, "x must be a JSON object, got [1]"),
+    (dict[str, float], None, ValueError, "x must be a JSON object, got None"),
+    (dict[str, float], {"a": 1.0, "b": "2"}, TypeError, "x['b'] must be a real number, got '2'"),
+    (dict[str, tuple[float, ...]], {"a": 1.0}, ValueError, "x['a'] must be a list, got 1.0"),
+    (dict[str, tuple[float, ...]], {"a": [True]}, TypeError,
+     "x['a'] entry must be a real number, got True"),
+    (dict[str, dict[str, float]], {"a": {"b": float("inf")}}, ValueError,
+     "x['a']['b'] must be a finite number, got inf"),
+])
+def test_checked_refuses_a_wrong_json_object(hint, value, error, message):
+    with pytest.raises(error) as info:
+        _checked(hint, value, "x")
+    assert str(info.value) == message
+
+
+def test_checked_keeps_json_objects_and_numbers_up_to_the_largest_float():
+    raw = {"a": [1, 2.5], "b": []}
+    assert _checked(dict, raw, "x") is raw
+    assert _checked(dict[str, tuple[float, ...]], raw, "x") == {"a": (1, 2.5), "b": ()}
+    big = 2**1024 - 2**971  # the largest float, written as an integer
+    assert float(big) == sys.float_info.max
+    for value in (big, -big, float(big)):
+        assert _checked(float, value, "x") is value
+    for value in (big + 1, -big - 1):
+        with pytest.raises(ValueError, match=f"x must be a finite number, got {value}$"):
+            _checked(float, value, "x")
 
 
 def test_check_fields_keeps_numbers_as_written_and_lists_as_tuples():
@@ -233,6 +267,8 @@ def test_lhs_occupies_every_stratum():
 def test_lhs_single_point_and_mean():
     tau, v = lhs_box(rng_stream(8, "eval"), 1)
     assert 0 <= tau[0] <= 5 and 0 <= v[0] <= 100
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        lhs_unit(rng_stream(8, "eval"), 0, 2)
     tau, _ = lhs_box(rng_stream(8, "eval"), 10_000)
     assert abs(tau.mean() - 2.5) < 0.05
 
