@@ -18,7 +18,6 @@ from .library import ProtectionLibrary, default_library, parse_library
 from .sampling import (
     Dataset,
     SamplerConfig,
-    SamplingError,
     lhs_box,
     sample_training,
     weight,

@@ -28,7 +28,7 @@ from .evaluation import (
 from .library import _decode_json
 from .protection import TAU_MAX, V_MAX, CompositeProtection, grid_evaluate
 from .regression import fit, harden, model_from_jsonable
-from .sampling import SamplingError, _write_csv, sample_training
+from .sampling import _write_csv, sample_training
 
 DEFAULT_GRID_RESOLUTION = 101
 
@@ -249,7 +249,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.motor)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, SamplingError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,7 @@ Layout (all sections optional except protection_library; defaults shown by
       "output_dir": "out",
       "seed": 20240501,
       "sampler":   {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5,
-                    "n_train": 200, "m_eval": 5000,
-                    "tau_range": [0.0, 5.0], "v_range": [0.0, 100.0]},
+                    "n_train": 200, "m_eval": 5000},
       "smoothing": {"continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
       "fit":       {"n_starts": 20, "max_iters": 400, "gtol": 1e-5, "ptol": 1e-12},
       "uncertainty": {"gamma_levels": [0.1, ..., 0.8], "targets": [],

@@ -137,6 +137,8 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
             combined = combine_schemes([schemes[m] for m in members])
         except KeyError as exc:
             raise ValueError(f"{source}: combination {name!r} references unknown base {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{source}: combination {name!r}: {exc}") from None
         if combined.name != name:
             raise ValueError(
                 f"{source}: combination key {name!r} must be the sorted hyphen-join "

@@ -123,7 +123,7 @@ def test_example_config_echo_is_pinned(tmp_path):
         "output_dir": "out",
         "seed": 20240501,
         "sampler": {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5, "n_train": 200,
-                    "m_eval": 5000, "tau_range": [0.0, 5.0], "v_range": [0.0, 100.0]},
+                    "m_eval": 5000},
         "smoothing": {"continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
         "fit": {"n_starts": 20, "max_iters": 400, "gtol": 1e-05, "ptol": 1e-12},
         "uncertainty": {"gamma_levels": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
@@ -243,22 +243,22 @@ def test_cli_fit_every_motor_class(tmp_path):
 # output_dir, so the runs use a relative --out and the digests do not depend
 # on where the test runs.
 _GOLDEN_ARTIFACTS = {
-    "fit_A.json": "105cb39d48a2f35ed6d5076f41e96bed43dc608ed265440b145513175474d50b",
-    "fit_B.json": "9a694012fbeab00cd65f02fe649e478147893af9d174dce8f6bed961138713f2",
-    "fit_C.json": "e1ae569b1d57210b25ac4d90192035a321ca016a91972911f6c18d4f242cce33",
-    "fit_D.json": "56212917c9ceaa39416950c4d9c3bfdd6bdb140c23f6f3b4956afffc3724722a",
-    "fit_mixed_commercial.json": "0ba82fdbd584790b05f56a280b13db011345ca05e2c856db0cbcb2b61e73045b",
-    "grid_mixed_commercial_fitted.csv": "f093e4289ce94d9e794c723491cf56b709ea4f2600f4be2e01d2bee332f3413f",
-    "grid_mixed_commercial_true.csv": "256e256a14d229e8b9c0fd0e7eb2ec16cb14b934c51af11534f0a5b8ff38bb26",
-    "mae_mixed_commercial.json": "49f2699377f4c1a8e5c1e7710c04507b3110ec286bfc19eea92daa7618bf359b",
-    "sweep_mixed_commercial_long.csv": "97abf96f21e89650bbe30da868aa4d75cbcc4fcefde7a3ebb022542f370f2d97",
-    "sweep_mixed_commercial_matrix.csv": "5fe3e525931d89f0a66266425c5eb727cfff4698a7e405e3a1a8cc759452fd66",
-    "sweep_mixed_commercial_summary.csv": "e2a6edbed037c5622a72a58a7404217216796d1c7bb8e04f91a36d85649f8d6b",
-    "train_A.csv": "d2ecc1f39a7fa859b0aed8f5b1aa5daf45403b5cd46e51ff5823a8ac89c63e85",
-    "train_B.csv": "734dea8a7d805645ad3b1ec001711735263618527268b90f24759db957fc73a5",
-    "train_C.csv": "772b5bf23abf26612ff8e6afd6f9ab9ba831712d47c2eedc124197e2f44220f7",
-    "train_D.csv": "7d738b4d1b8586aae819454502bf93fe14a99d3dc0560251a8191c97bd772f54",
-    "train_mixed_commercial.csv": "44bc832d4527af55f0e63eb7749ce2d702c65b1c7aa95f4f7f9266e24d604344",
+    "fit_A.json": "ed51f27b25f1a9471b3861ab8cdee883d1a9258b9b2350b9fc96391760b50751",
+    "fit_B.json": "2b62ea90d934e7bced22b834977e57dba0d4457e179b8277cb6b8becf72abf43",
+    "fit_C.json": "c9c06b83e4f3ddc09772e6ef1136690257c4abbffa0e9dc33938550f96c79131",
+    "fit_D.json": "b4c1807f562450b81f81acbf6d4152f11546ece17850cb387dba59c073b5c855",
+    "fit_mixed_commercial.json": "32a0c5f26b2977698d5a807f5f42aaeab1cc75a9bca110cf357e7da168cc4eee",
+    "grid_mixed_commercial_fitted.csv": "909fbb3ded7b00aa46a138e6e1f53762818101ebbc96e686e52c105d77df96be",
+    "grid_mixed_commercial_true.csv": "1d8d9852ad8d3ec3620e7a57fa02134dc711f8327fe285c881d2dbc711f31ad6",
+    "mae_mixed_commercial.json": "f47cbe74471471e1f41cc5cd4cc9a8542dff12145b7ba823dc6c3a3eba414cef",
+    "sweep_mixed_commercial_long.csv": "1bfa468ec96428ffac6e56938f9cd4250abdc7c1892448982864a90a629c4e36",
+    "sweep_mixed_commercial_matrix.csv": "6fc5bd626a3738bd0d51812f0a718f96abad422ad456c37c8a3a95f32b960b47",
+    "sweep_mixed_commercial_summary.csv": "a00a9b3f4fba0e393399745dc21af4f8ebae65236df4769515df3be7e0314003",
+    "train_A.csv": "fb15f0d8531fff2aaad722ba006d76ad1c0b7e1e408b3e1fe439a7b12011ab80",
+    "train_B.csv": "d57feca8fb60e4f2b7549cfba5dbca5a6509e1ecab99fa3884909e7167f3df7d",
+    "train_C.csv": "6efb711a4f65bc0dea0911ceec7ee2015b699e13edee67b9b8d333fcca6a4a8d",
+    "train_D.csv": "879076a8dd07dfce133938df4e03f14b1bb25f01bb6d20074611e375f7dbe39d",
+    "train_mixed_commercial.csv": "0d524f674325d4ac3b0c515c9f9d218c93fdf9fc68fbdc687741a1f896b3b169",
 }
 
 
@@ -279,10 +279,10 @@ def test_cli_artifact_golden_digests(tmp_path, monkeypatch):
 
 
 _GOLDEN_REFIT_ARTIFACTS = {
-    "fit_mixed_commercial.json": "36c7d9bdd3c64593737668c7ba094bc34cec3edb7eeed2739a3a79716271a3a9",
-    "sweep_mixed_commercial_long.csv": "12ee992827689d5e3ea9466db7f27dc2a899f751ae923ddfe891562e5e765380",
-    "sweep_mixed_commercial_summary.csv": "ce4f34813b174805cba5ad91a8f130151931ff5996d7bc2a69ffa302ccb02d9f",
-    "train_mixed_commercial.csv": "84d9f395165d2e6a4e561ddbcdccfd8ea253676e61b8a94a57b89fdce1f229c7",
+    "fit_mixed_commercial.json": "0b7cad22298a8cfbaddda0c0fd6957af862e4b58ed3424c0067bdba5ff9f7e5a",
+    "sweep_mixed_commercial_long.csv": "9eed7f6e82044730eda59f74cac277533dd5e0baf4bb13559f4f5f82cabdb61f",
+    "sweep_mixed_commercial_summary.csv": "ec843654396ca2d805a05e28b51f565c6b3f9fd2498c66f6575a44b12665f0da",
+    "train_mixed_commercial.csv": "6ab7886a823bc0f9f6c8033ad73477d4d8c66939138799ba66dcdc793bf5900e",
 }
 
 
@@ -416,6 +416,23 @@ def test_cli_rejects_fit_echoing_alpha_tau_and_alpha_v(tmp_path, capsys):
     assert not (tmp_path / "out" / "mae_C.json").exists()
 
 
+def test_cli_rejects_fit_echoing_tau_range_and_v_range(tmp_path, capsys):
+    # sampler has no tau_range or v_range field; a fit whose echo holds them is stale.
+    path = _small_config(tmp_path)
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
+    fit_path = tmp_path / "out" / "fit_C.json"
+    doc = json.loads(fit_path.read_text())
+    doc["config"]["sampler"] |= {"tau_range": [0.0, 5.0], "v_range": [0.0, 100.0]}
+    fit_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for verb in (["grid", "--target", "fitted"], ["mae"], ["sweep"]):
+        assert main([*verb, "--config", str(path), "--motor", "C"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {fit_path} was fitted under a different sampler.tau_range; "
+                              "rerun `tripfit fit --motor C` with this config"), err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fit_C.json", "train_C.csv"]
+
+
 def test_cli_sweep_skips_matrix_when_targets_absent(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
@@ -434,16 +451,6 @@ def test_cli_sweep_rejects_targets_absent_from_composite(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: uncertainty.targets ['P4'] not in composite C")
     assert not (tmp_path / "out" / "sweep_C_long.csv").exists()
-
-
-def test_cli_unreachable_sampling_region_exit_code(tmp_path, capsys):
-    path = _small_config(tmp_path, sampler={"n_train": 60, "m_eval": 600, "tau_range": [4.9, 5.0],
-                                            "v_range": [99.0, 100.0], "weight_threshold": 0.9})
-    assert main(["fit", "--config", str(path), "--motor", "C"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: accepted region is ~0.0000% of the sampling box")
-    assert "lower weight_threshold (0.9)" in err
-    assert not (tmp_path / "out").exists()
 
 
 def test_cli_unwritable_output_exit_code(tmp_path, capsys):
@@ -535,12 +542,14 @@ _TYPED_LIBRARY = {
      "uncertainty: matrix_targets must name two different schemes, got ['P2', 'P2']"),
     ({"uncertainty": {"targets": ["P2", "P1", "P2"]}}, None,
      "uncertainty: targets must not repeat a scheme, got ['P2', 'P1', 'P2']"),
-    ({"sampler": {"tau_range": ["a", "b"]}}, None,
-     "sampler: tau_range entry must be a real number, got 'a'"),
-    ({"sampler": {"tau_range": [-3, 5]}}, None,
-     "sampler: tau_range must be two numbers in [0, 5], got [-3, 5]"),
-    ({"sampler": {"v_range": [0, 300]}}, None,
-     "sampler: v_range must be two numbers in [0, 100], got [0, 300]"),
+    ({"sampler": {"tau_range": [0.0, 5.0]}}, None,
+     "config.json: sampler: unknown field(s) ['tau_range']; known: ['beta_tau', 'beta_v', "
+     "'m_eval', 'n_train', 'weight_threshold']"),
+    ({"sampler": {"v_range": [0.0, 100.0]}}, None,
+     "config.json: sampler: unknown field(s) ['v_range']; known: ['beta_tau', 'beta_v', "
+     "'m_eval', 'n_train', 'weight_threshold']"),
+    ({}, {**_TYPED_LIBRARY, "combinations": {"P1-P1": []}},
+     "lib.json: combination 'P1-P1': need at least one scheme to combine"),
     ({"fit": {"gtol": float("nan")}}, None, "config.json: NaN is not a finite number"),
     ({"smoothing": {"continuation_schedule": [[float("inf"), 2.0]]}}, None,
      "config.json: Infinity is not a finite number"),
