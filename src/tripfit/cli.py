@@ -126,7 +126,7 @@ def cmd_fit(cfg: ProjectConfig, target: str) -> int:
           f"v*=({m.v1_star:.3f}, {m.v2_star:.3f}) % "
           f"cost={result.final_cost:.3e} mae={report.epsilon:.4f}")
     if not result.converged:
-        stages = len(result.diagnostics["alpha_stages"])
+        stages = len(cfg.smoothing.continuation_schedule)
         print(f"warning: fit for {target} did not reach the gradient tolerance; the winning "
               f"start stopped after {result.iterations} iterations over {stages} stages "
               f"(budget {cfg.fit.max_iters} iterations per stage)", file=sys.stderr)

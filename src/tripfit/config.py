@@ -10,7 +10,7 @@ Layout (all sections optional except protection_library; defaults shown by
       "sampler":   {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5,
                     "n_train": 200, "m_eval": 5000},
       "smoothing": {"continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
-      "fit":       {"n_starts": 20, "max_iters": 400, "gtol": 1e-5, "ptol": 1e-12},
+      "fit":       {"n_starts": 20, "max_iters": 400, "gtol": 1e-5},
       "uncertainty": {"gamma_levels": [0.1, ..., 0.8], "targets": [],
                       "trials": 200, "refit": false, "m_eval": 2000,
                       "matrix_targets": ["P2", "P1-P4-P5"]},
@@ -18,24 +18,26 @@ Layout (all sections optional except protection_library; defaults shown by
     }
 
 The global seed feeds every stochastic stage; named RNG streams keep them
-independent, and a `seed` inside a section is rejected.  The fit's steepness
-is set by `smoothing.continuation_schedule` alone: one (alpha_tau, alpha_v)
-pair per stage, a single pair for a fit without continuation.  The fully
-materialized configuration is echoed into every output file, so any artifact
-can be re-derived exactly.
+independent, and a `seed` inside a section is rejected.  Every other integer
+setting is a count, and one too large for numpy to size an array by is
+rejected.  The fit's steepness is set by `smoothing.continuation_schedule`
+alone: one (alpha_tau, alpha_v) pair per stage, a single pair for a fit
+without continuation.  The fully materialized configuration is echoed into
+every output file, so any artifact can be re-derived exactly.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .evaluation import UncertaintySpec
 from .library import BUILTIN, ProtectionLibrary, _decode_json, parse_library, read_library
 from .regression import FitConfig, SmoothingConfig
-from .sampling import SamplerConfig, _known, _typed
+from .sampling import SamplerConfig, _hints, _known, _typed
 
 # The sections that configure one pipeline stage each, by the dataclass that validates them.
 _SECTIONS = {
@@ -51,15 +53,24 @@ class ConfigError(ValueError):
 
 
 def _build(cls, raw, where: str, seed: int):
-    """The section's dataclass, given the global seed if it has a seed field."""
+    """The section's dataclass, given the global seed if it has a seed field.
+
+    Each integer field other than the seed is a count, refused past
+    sys.maxsize, numpy's largest array size (its intp is a Py_ssize_t).
+    """
     fields = {f.name for f in dataclasses.fields(cls)}
     if "seed" in _typed(dict, raw, where):
         raise ValueError(f"{where}: 'seed' is set at the top level only")
     _known(raw, fields - {"seed"}, where)
     try:
-        return cls(**raw, **({"seed": seed} if "seed" in fields else {}))
+        section = cls(**raw, **({"seed": seed} if "seed" in fields else {}))
+        for name, hint in _hints(cls).items():
+            if hint is int and name != "seed" and getattr(section, name) > sys.maxsize:
+                raise ValueError(f"{name} must be at most {sys.maxsize}, "
+                                 f"got {getattr(section, name)}")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: {exc}") from None
+    return section
 
 
 @dataclass(frozen=True)

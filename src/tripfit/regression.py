@@ -160,17 +160,16 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multistart solver budget and tolerances (in unit-scaled coordinates).
+    """Multistart solver budget and tolerance (in unit-scaled coordinates).
 
     gtol bounds the projected-gradient infinity norm that counts as
-    converged; ptol is the relative cost stagnation tolerance of the stage
-    solver.
+    converged.  A stage solve also stops on L-BFGS-B's relative-reduction
+    test at the fixed _LBFGSB_PTOL.
     """
 
     n_starts: int = 20
     max_iters: int = 400
     gtol: float = 1e-5
-    ptol: float = 1e-12
     seed: int = 0
 
     def __post_init__(self):
@@ -179,8 +178,8 @@ class FitConfig:
             raise ValueError("n_starts must be >= 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.gtol <= 0.0 or self.ptol <= 0.0:
-            raise ValueError("tolerances must be > 0")
+        if self.gtol <= 0.0:
+            raise ValueError("gtol must be > 0")
 
 
 @dataclass(frozen=True)
@@ -272,10 +271,12 @@ def _cost_reduced(theta, tau, v, y, alpha_tau, alpha_v) -> float:
     return float(_cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v)[0])
 
 
-# scipy.optimize.minimize(method="L-BFGS-B") defaults: maxcor, maxls, maxfun.
+# scipy.optimize.minimize(method="L-BFGS-B") defaults: maxcor, maxls, maxfun;
+# and the relative-reduction tolerance ftol, which each stage solve stops on.
 _LBFGSB_M = 10
 _LBFGSB_MAXLS = 20
 _LBFGSB_MAXFUN = 15000
+_LBFGSB_PTOL = 1e-12
 _TASK_FG, _TASK_NEW_X, _TASK_STOP = 3, 1, 5
 
 
@@ -324,19 +325,20 @@ def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray
     """Bounded L-BFGS-B on the unit box from every row of x0, all rows in lockstep.
 
     Each row is its own solve, step for step the loop of
-    scipy.optimize.minimize(method="L-BFGS-B", jac=True) with ftol=ptol,
-    gtol=gtol and maxiter=max_iters: an iteration is counted at each NEW_X,
-    and a solve stops once it has done max_iters iterations or more than
-    15 000 evaluations.  Every request for f and g is evaluated and counted,
-    so a repeated point counts toward that cap, where scipy's memoization
-    would serve it uncounted.  The rows that ask for f and g in the same round
-    share one fun_grad call on the stacked points; the first round serves
-    every row's START.  Returns the final points (S, n) and iteration counts.
+    scipy.optimize.minimize(method="L-BFGS-B", jac=True) with
+    ftol=_LBFGSB_PTOL, gtol=gtol and maxiter=max_iters: an iteration is
+    counted at each NEW_X, and a solve stops once it has done max_iters
+    iterations or more than 15 000 evaluations.  Every request for f and g
+    is evaluated and counted, so a repeated point counts toward that cap,
+    where scipy's memoization would serve it uncounted.  The rows that ask
+    for f and g in the same round share one fun_grad call on the stacked
+    points; the first round serves every row's START.  Returns the final
+    points (S, n) and iteration counts.
     """
     n_rows, n = x0.shape
     m = _LBFGSB_M
     lo, hi, nbd = np.zeros(n), np.ones(n), np.full(n, 2, dtype=np.int32)
-    factr, pgtol = f.ptol / np.finfo(float).eps, f.gtol
+    factr, pgtol = _LBFGSB_PTOL / np.finfo(float).eps, f.gtol
     # One row per solve; setulb writes x and its work arrays in place through row views.
     x, gx, fx = x0.copy(), np.zeros((n_rows, n)), np.zeros(n_rows)
     work = list(zip(x, gx,
@@ -409,15 +411,12 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
     start_index = int(np.argmin(start_costs))  # the first of equal lowest costs
 
     model = SimplifiedModel.from_reduced(_LO + u[start_index] * _SPAN).canonical()
-    alpha_final = stages[-1]
     # Recompute at the canonical parameter layout and the last stage's steepness.
-    final_cost = _cost_reduced(model.as_reduced(), tau, v, y, *alpha_final)
+    final_cost = _cost_reduced(model.as_reduced(), tau, v, y, *stages[-1])
     diagnostics = {
         "start_costs": start_costs.tolist(),
         "start_iterations": iters.tolist(),
         "start_converged": start_conv.tolist(),
-        "alpha_stages": [list(stage) for stage in stages],
-        "alpha_final": list(alpha_final),
     }
     return FitResult(model, final_cost, bool(start_conv[start_index]),
                      int(iters[start_index]), start_index, diagnostics)

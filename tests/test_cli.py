@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from tripfit.cli import main
-from tripfit.config import ConfigError, load_config
+from tripfit.config import _SECTIONS, ConfigError, load_config
 from tripfit.library import BUILTIN, read_library
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -115,6 +116,32 @@ def test_config_rejects_non_integer_counts(tmp_path, section, name, value):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, counts, verb", [
+    ("fit", {"n_starts": 10**30}, "fit"),
+    ("sampler", {"n_train": 10**30, "m_eval": 10**31}, "fit"),
+    ("sampler", {"m_eval": 10**30}, "fit"),
+    ("uncertainty", {"trials": 10**30}, "sweep"),
+    ("uncertainty", {"m_eval": 10**30}, "sweep"),
+], ids=["fit.n_starts", "sampler.n_train", "sampler.m_eval", "uncertainty.trials",
+        "uncertainty.m_eval"])
+def test_cli_rejects_counts_numpy_cannot_size(tmp_path, capsys, section, counts, verb):
+    # numpy cannot size an array past intp: fit or sweep would end in a
+    # ValueError traceback with exit 1, the code for a fit that did not converge.
+    path = _small_config(tmp_path)
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
+    doc = json.loads(path.read_text())
+    path = _small_config(tmp_path, **{section: {**doc[section], **counts}})
+    name = next(iter(counts))
+    message = (f"config.json: {section}: {name} must be at most {np.iinfo(np.intp).max}, "
+               f"got {counts[name]}")
+    capsys.readouterr()
+    for argv in (["validate"], [verb, "--motor", "C"]):
+        assert main([*argv, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+    # A seed is not a count: any integer >= 0 seeds the streams.
+    assert main(["validate", "--config", str(_small_config(tmp_path, seed=10**30))]) == 0
+
+
 def test_example_config_echo_is_pinned(tmp_path):
     # fit_*.json stores the echo, and the stale-input check compares it with the
     # current one by ==, so a tuple where the JSON has a list would reject every fit.
@@ -125,7 +152,7 @@ def test_example_config_echo_is_pinned(tmp_path):
         "sampler": {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5, "n_train": 200,
                     "m_eval": 5000},
         "smoothing": {"continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
-        "fit": {"n_starts": 20, "max_iters": 400, "gtol": 1e-05, "ptol": 1e-12},
+        "fit": {"n_starts": 20, "max_iters": 400, "gtol": 1e-05},
         "uncertainty": {"gamma_levels": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
                         "targets": [], "trials": 200, "refit": False, "m_eval": 2000,
                         "matrix_targets": ["P2", "P1-P4-P5"]},
@@ -143,6 +170,16 @@ def test_example_config_echo_is_pinned(tmp_path):
                 if line.startswith("# config: ")]
     assert comments == ["# config: " + json.dumps(echo, sort_keys=True)]
     assert json.loads((tmp_path / "fit_C.json").read_text())["config"] == echo
+
+
+def test_readme_lists_every_settable_field():
+    # README's config reference names each section's fields, in field order.
+    readme = (REPO_ROOT / "README.md").read_text()
+    for section, cls in _SECTIONS.items():
+        bullet = re.search(rf"^- `{section}`: (.*?)(?=^- |^$)", readme, re.M | re.S)
+        listed = re.match(r"(?:`\w+`(?: \([^)]*\))?(?:, |\.|$))+", " ".join(bullet[1].split()))
+        fields = [f.name for f in dataclasses.fields(cls) if f.name != "seed"]
+        assert re.findall(r"`(\w+)`", listed[0]) == fields, section
 
 
 def test_config_bad_matrix_targets(tmp_path):
@@ -243,22 +280,22 @@ def test_cli_fit_every_motor_class(tmp_path):
 # output_dir, so the runs use a relative --out and the digests do not depend
 # on where the test runs.
 _GOLDEN_ARTIFACTS = {
-    "fit_A.json": "ed51f27b25f1a9471b3861ab8cdee883d1a9258b9b2350b9fc96391760b50751",
-    "fit_B.json": "2b62ea90d934e7bced22b834977e57dba0d4457e179b8277cb6b8becf72abf43",
-    "fit_C.json": "c9c06b83e4f3ddc09772e6ef1136690257c4abbffa0e9dc33938550f96c79131",
-    "fit_D.json": "b4c1807f562450b81f81acbf6d4152f11546ece17850cb387dba59c073b5c855",
-    "fit_mixed_commercial.json": "32a0c5f26b2977698d5a807f5f42aaeab1cc75a9bca110cf357e7da168cc4eee",
-    "grid_mixed_commercial_fitted.csv": "909fbb3ded7b00aa46a138e6e1f53762818101ebbc96e686e52c105d77df96be",
-    "grid_mixed_commercial_true.csv": "1d8d9852ad8d3ec3620e7a57fa02134dc711f8327fe285c881d2dbc711f31ad6",
-    "mae_mixed_commercial.json": "f47cbe74471471e1f41cc5cd4cc9a8542dff12145b7ba823dc6c3a3eba414cef",
-    "sweep_mixed_commercial_long.csv": "1bfa468ec96428ffac6e56938f9cd4250abdc7c1892448982864a90a629c4e36",
-    "sweep_mixed_commercial_matrix.csv": "6fc5bd626a3738bd0d51812f0a718f96abad422ad456c37c8a3a95f32b960b47",
-    "sweep_mixed_commercial_summary.csv": "a00a9b3f4fba0e393399745dc21af4f8ebae65236df4769515df3be7e0314003",
-    "train_A.csv": "fb15f0d8531fff2aaad722ba006d76ad1c0b7e1e408b3e1fe439a7b12011ab80",
-    "train_B.csv": "d57feca8fb60e4f2b7549cfba5dbca5a6509e1ecab99fa3884909e7167f3df7d",
-    "train_C.csv": "6efb711a4f65bc0dea0911ceec7ee2015b699e13edee67b9b8d333fcca6a4a8d",
-    "train_D.csv": "879076a8dd07dfce133938df4e03f14b1bb25f01bb6d20074611e375f7dbe39d",
-    "train_mixed_commercial.csv": "0d524f674325d4ac3b0c515c9f9d218c93fdf9fc68fbdc687741a1f896b3b169",
+    "fit_A.json": "5ca4a31ec446d46585c26eb12686266f5815dcee36c613170e4b77149472d4c0",
+    "fit_B.json": "a64956a3419d196541f21eb7de64c586d8ea087d3a06f0530229ac8a2152c58e",
+    "fit_C.json": "a456ebcd02fc073a10274491271f4622ea1c7819e2b2f15b10f5b6fedd5fc203",
+    "fit_D.json": "a20f8ba49f4d6518752eb350dacd62d4d82186987e33f6c64ffed8af8b3b0c67",
+    "fit_mixed_commercial.json": "fb731f73cbc71b8da18a2da9b2a67df64de021227018de6c2d2ed2c5ef873e29",
+    "grid_mixed_commercial_fitted.csv": "0a7899a2a49f0afa3203d8ba77f604c2517af844b7d53c2d2c6f30740e393c12",
+    "grid_mixed_commercial_true.csv": "1b82f19fe40803a7fb822cb9599c3c8e531913576553548019f8239ed1f9ce15",
+    "mae_mixed_commercial.json": "0f7a45fde51329425c496c2b7b89c15b5886aa9bd237e534f53681e3971b27b2",
+    "sweep_mixed_commercial_long.csv": "0cf9529c03a15a2d5c71325dc99f6ed642518015371188e3c6fe6089cb22b2a7",
+    "sweep_mixed_commercial_matrix.csv": "91681bbd82ad685a37d935638360a8c824a12e9a74775cf9a7dfb159feca7ff7",
+    "sweep_mixed_commercial_summary.csv": "e510ddb2cee47ab04fd60c4ede79084841e6535c4ecb520ba784bdacc8d64f84",
+    "train_A.csv": "1d142485170ce7b3f628b4053a0b78563ed1ac19317b78c7fcb5c2be799da16a",
+    "train_B.csv": "7746f36426cb547920172ce73e79d160e87b57406082e56a232659ba71e6993e",
+    "train_C.csv": "7b871082b3319ae5ad22d8c1afdafe3d56d780667ce8caf6f747be8a11a91a46",
+    "train_D.csv": "f74c9e22c3a5484fda7eb1b6830d1de5dbb82438b9f0996fdd08b308e2e47fc0",
+    "train_mixed_commercial.csv": "ec52ad7a6422d9ae87ab1ed049a9358b14352c1f913eb2844630f3762562f238",
 }
 
 
@@ -279,10 +316,10 @@ def test_cli_artifact_golden_digests(tmp_path, monkeypatch):
 
 
 _GOLDEN_REFIT_ARTIFACTS = {
-    "fit_mixed_commercial.json": "0b7cad22298a8cfbaddda0c0fd6957af862e4b58ed3424c0067bdba5ff9f7e5a",
-    "sweep_mixed_commercial_long.csv": "9eed7f6e82044730eda59f74cac277533dd5e0baf4bb13559f4f5f82cabdb61f",
-    "sweep_mixed_commercial_summary.csv": "ec843654396ca2d805a05e28b51f565c6b3f9fd2498c66f6575a44b12665f0da",
-    "train_mixed_commercial.csv": "6ab7886a823bc0f9f6c8033ad73477d4d8c66939138799ba66dcdc793bf5900e",
+    "fit_mixed_commercial.json": "fbb517d859546c04f62e6e6cf1fe96babd183a30945da87f88bd77986f5fa88b",
+    "sweep_mixed_commercial_long.csv": "58401e2d264c979b081bf01d225843a19a7b48f4b009a7c5b6237c305db2715a",
+    "sweep_mixed_commercial_summary.csv": "44da327d0c34e20ba97853cb5ec4fa42386735465995b53f000248e16203d809",
+    "train_mixed_commercial.csv": "faf46953c5edc219977c88ef7b59c1c6fb14ade10d7bc75f6f2a316b2d4bcba8",
 }
 
 
@@ -433,6 +470,21 @@ def test_cli_rejects_fit_echoing_tau_range_and_v_range(tmp_path, capsys):
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fit_C.json", "train_C.csv"]
 
 
+def test_cli_rejects_fit_echoing_ptol(tmp_path, capsys):
+    # fit has no ptol field; a fit whose echo holds one is stale.
+    path = _small_config(tmp_path)
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
+    fit_path = tmp_path / "out" / "fit_C.json"
+    doc = json.loads(fit_path.read_text())
+    doc["config"]["fit"]["ptol"] = 1e-12
+    fit_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["mae", "--config", str(path), "--motor", "C"]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: {fit_path} was fitted under a different fit.ptol; "
+        "rerun `tripfit fit --motor C` with this config")
+
+
 def test_cli_sweep_skips_matrix_when_targets_absent(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
@@ -559,7 +611,8 @@ _TYPED_LIBRARY = {
     ({"uncertainty": {"gamma_levels": []}}, None, "uncertainty: gamma_levels must not be empty"),
     ({"uncertainty": {"targets": "P2"}}, None, "uncertainty: targets must be a list, got 'P2'"),
     ({"fit": {"gtol": True}}, None, "fit: gtol must be a real number, got True"),
-    ({"fit": {"ptol": True}}, None, "fit: ptol must be a real number, got True"),
+    ({"fit": {"ptol": 1e-12}}, None,
+     "config.json: fit: unknown field(s) ['ptol']; known: ['gtol', 'max_iters', 'n_starts']"),
     ({"sampler": {"beta_tau": True}}, None, "sampler: beta_tau must be a real number, got True"),
     ({"sampler": {"beta_v": True}}, None, "sampler: beta_v must be a real number, got True"),
     ({"sampler": {"weight_threshold": False}}, None,

@@ -250,9 +250,11 @@ def test_smoothing_config_validation():
     assert SmoothingConfig([[40, 1.5]]).continuation_schedule == ((40.0, 1.5),)
     with pytest.raises(ValueError, match="max_iters must be >= 1"):
         FitConfig(max_iters=0)
-    for tolerances in ({"gtol": 0.0}, {"ptol": 0}):
-        with pytest.raises(ValueError, match="tolerances must be > 0"):
-            FitConfig(**tolerances)
+    with pytest.raises(ValueError, match="gtol must be > 0"):
+        FitConfig(gtol=0.0)
+    # The relative-reduction tolerance is the solver's constant, not a setting.
+    with pytest.raises(TypeError, match="ptol"):
+        FitConfig(ptol=1e-12)
 
 
 # ------------------------------------------------------------------ cost
@@ -470,7 +472,7 @@ def _per_start_minimize_fit(d, s, f, maxfun=15000):
     """Reference fit: each start driven through scipy.optimize.minimize, one at a time."""
     from scipy.optimize import minimize
 
-    from tripfit.regression import _LO, _SPAN, _cost_grad_reduced, _cost_reduced
+    from tripfit.regression import _LBFGSB_PTOL, _LO, _SPAN, _cost_grad_reduced, _cost_reduced
     from tripfit.rng import rng_stream
     from tripfit.sampling import lhs_unit
 
@@ -482,7 +484,7 @@ def _per_start_minimize_fit(d, s, f, maxfun=15000):
         return fval, g * _SPAN
 
     starts = lhs_unit(rng_stream(f.seed, "multistart"), f.n_starts, 5)
-    options = {"maxiter": f.max_iters, "ftol": f.ptol, "gtol": f.gtol, "maxfun": maxfun}
+    options = {"maxiter": f.max_iters, "ftol": _LBFGSB_PTOL, "gtol": f.gtol, "maxfun": maxfun}
     best = None
     start_costs, start_iters, start_conv = [], [], []
     for k in range(f.n_starts):
@@ -511,8 +513,6 @@ def _per_start_minimize_fit(d, s, f, maxfun=15000):
         "start_costs": start_costs,
         "start_iterations": start_iters,
         "start_converged": start_conv,
-        "alpha_stages": [list(stage) for stage in stages],
-        "alpha_final": list(stages[-1]),
     }
     return FitResult(model, final_cost, converged, iters, start_index, diagnostics)
 
@@ -739,7 +739,7 @@ def test_fit_beats_every_start():
     d = _dataset_from_hard(RECOVERY_TRUTH, n=200, seed=9)
     s = SmoothingConfig()
     result = fit(d, s, FitConfig(n_starts=8, seed=9))
-    final_alpha = tuple(result.diagnostics["alpha_final"])
+    final_alpha = s.continuation_schedule[-1]
     from tripfit.regression import _LO, _SPAN
     from tripfit.sampling import lhs_unit
     from tripfit.rng import rng_stream
@@ -752,8 +752,11 @@ def test_fit_beats_every_start():
 
 def test_fit_result_invariants():
     d = _dataset_from_hard(RECOVERY_TRUTH, n=200, seed=13)
-    result = fit(d, SmoothingConfig(), FitConfig(seed=13))
-    assert result.final_cost == cost(result.model, d, tuple(result.diagnostics["alpha_final"]))
+    s = SmoothingConfig()
+    result = fit(d, s, FitConfig(seed=13))
+    assert result.final_cost == cost(result.model, d, s.continuation_schedule[-1])
+    # The schedule is the config's; diagnostics hold only what each start did.
+    assert set(result.diagnostics) == {"start_costs", "start_iterations", "start_converged"}
     m = result.model
     # exact feasibility and canonical order
     assert 0.0 <= m.pi1 <= 1.0 and m.pi1 + m.pi2 == 1.0
