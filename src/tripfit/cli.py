@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -31,6 +32,9 @@ from .regression import fit, harden, model_from_jsonable
 from .sampling import _write_csv, sample_training
 
 DEFAULT_GRID_RESOLUTION = 101
+# The largest --resolution whose r x r grid has at most sys.maxsize points, the
+# bound config counts have: numpy cannot size an array past it.
+MAX_GRID_RESOLUTION = math.isqrt(sys.maxsize)
 
 
 def _comment_lines(cfg: ProjectConfig, **extra) -> list[str]:
@@ -243,6 +247,9 @@ def main(argv=None) -> int:
         if args.command == "grid":
             if args.resolution < 2:
                 raise ConfigError("--resolution must be >= 2")
+            if args.resolution > MAX_GRID_RESOLUTION:
+                raise ConfigError(f"--resolution must be at most {MAX_GRID_RESOLUTION}, "
+                                  f"got {args.resolution}")
             return cmd_grid(cfg, args.motor, args.target, args.resolution)
         if args.command == "mae":
             return cmd_mae(cfg, args.motor)

@@ -34,7 +34,7 @@ import scipy
 from .protection import (FRACTION_SUM_TOL, TAU_MAX, V_MAX, CompositeProtection,
                          ProtectionScheme, TripZone)
 from .rng import rng_stream
-from .sampling import Dataset, _check_fields, _checked, lhs_unit
+from .sampling import Dataset, _check_fields, _check_rate, _checked, lhs_unit
 
 _SCIPY_DIR = Path(scipy.__file__).parent
 
@@ -156,6 +156,9 @@ class SmoothingConfig:
             if at <= prev[0] or av <= prev[1]:
                 raise ValueError("continuation_schedule must increase in both components")
             prev = (at, av)
+        # tau - tau* spans at most 5 s and v - v* at most 100 %; the last stage is the steepest.
+        _check_rate("continuation_schedule alpha_tau", prev[0], TAU_MAX)
+        _check_rate("continuation_schedule alpha_v", prev[1], V_MAX)
 
 
 @dataclass(frozen=True)

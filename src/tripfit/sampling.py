@@ -97,6 +97,13 @@ def _check_fields(obj) -> None:
         object.__setattr__(obj, name, _checked(hint, getattr(obj, name), name))
 
 
+def _check_rate(name: str, rate: float, span: float) -> None:
+    """Refuse a rate whose product with span, the largest offset it meets, overflows a float."""
+    if rate * span == float("inf"):
+        raise ValueError(f"{name} must be at most {sys.float_info.max / span!r}, "
+                         f"so that {name} * {span:g} stays finite; got {rate!r}")
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Knobs for weighted training sampling and evaluation sampling.
@@ -118,6 +125,8 @@ class SamplerConfig:
         _check_fields(self)
         if self.beta_tau <= 0.0 or self.beta_v <= 0.0:
             raise ValueError("beta_tau and beta_v must be > 0")
+        _check_rate("beta_tau", self.beta_tau, TAU_MAX)
+        _check_rate("beta_v", self.beta_v, V_MAX - V_KNEE)
         if not (0.0 <= self.weight_threshold < 1.0):
             raise ValueError(f"weight_threshold must be in [0, 1), got {self.weight_threshold}")
         if self.n_train < 5:
@@ -168,8 +177,10 @@ def weight(tau_f, v_f, cfg: SamplerConfig):
     """Selection weight in [0, 1]; broadcasts over array inputs.
 
     w = 1 - (1 - exp(-beta_tau * tau_f)) * (1 - exp(-beta_v * max(v_f - 50, 0))):
-    the voltage factor is exactly 0 at and below the 50 % knee, so w is 1 there,
-    and clamping the exponent keeps exp from overflowing for a large beta_v.
+    the voltage factor is exactly 0 at and below the 50 % knee, so w is 1 there.
+    Both exponents are <= 0, so exp cannot overflow; the products beta_tau *
+    tau_f and beta_v * (v_f - 50) stay finite because SamplerConfig refuses a
+    rate whose product with the largest offset, 5 s or 50 %, overflows.
     """
     tau_f = np.asarray(tau_f, dtype=float)
     v_f = np.asarray(v_f, dtype=float)

@@ -1,19 +1,24 @@
+import argparse
 import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import re
 import shutil
 import subprocess
 import sys
+import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tripfit.cli import main
+from tripfit.cli import _parser, main
 from tripfit.config import _SECTIONS, ConfigError, load_config
 from tripfit.library import BUILTIN, read_library
+from tripfit.sampling import _hints
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 EXAMPLE_CONFIG = REPO_ROOT / "configs" / "example_project.json"
@@ -276,26 +281,66 @@ def test_cli_fit_every_motor_class(tmp_path):
     assert produced == ["fit_A.json", "fit_B.json", "fit_C.json", "fit_D.json"]
 
 
-# sha256 of every artifact of the standard CLI runs below.  Each file echoes
-# output_dir, so the runs use a relative --out and the digests do not depend
-# on where the test runs.
+def _cut_echo(path: Path) -> tuple[bytes, str]:
+    """The file's bytes without its config echo, and the echo as the file carries it.
+
+    A CSV loses the value of its `# config: ` comment line.  A JSON file must
+    be exactly what `json.dumps(doc, indent=2, sort_keys=True)` writes of its
+    own parsed content; it loses its `config` value and is written that way.
+    Either echo is returned as the CSV writer serializes it.
+    """
+    raw = path.read_bytes()
+    if path.suffix == ".json":
+        doc = json.loads(raw)
+        assert raw == (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(), path.name
+        echo = json.dumps(doc.pop("config", None), sort_keys=True)
+        return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode(), echo
+    head, mark, tail = raw.partition(b"\n# config: ")
+    echo, newline, rest = tail.partition(b"\n")
+    return head + mark + newline + rest, echo.decode()
+
+
+def _echo_free_digests(out_dir: Path, runs) -> dict[str, str]:
+    """Run each argv and map every artifact to the sha256 of its bytes without the echo.
+
+    Each artifact must carry the echo of the run that first wrote it,
+    `load_config(...).echo` serialized as the writers do.  The echoes are
+    pinned once, by the echo tests, so removing a config field moves those
+    pins and no digest.
+    """
+    echoes = {}
+    for argv in runs:
+        assert main(argv) == 0, argv
+        args = _parser().parse_args(argv)
+        echo = load_config(args.config, seed_override=args.seed, out_override=args.out).echo
+        for path in out_dir.iterdir():
+            echoes.setdefault(path.name, json.dumps(echo, sort_keys=True))
+    digests = {}
+    for path in out_dir.iterdir():
+        rest, echo = _cut_echo(path)
+        assert echo == echoes[path.name], path.name
+        digests[path.name] = hashlib.sha256(rest).hexdigest()
+    return digests
+
+
+# sha256 of every artifact of the standard CLI runs below, its echo cut out.
 _GOLDEN_ARTIFACTS = {
-    "fit_A.json": "5ca4a31ec446d46585c26eb12686266f5815dcee36c613170e4b77149472d4c0",
-    "fit_B.json": "a64956a3419d196541f21eb7de64c586d8ea087d3a06f0530229ac8a2152c58e",
-    "fit_C.json": "a456ebcd02fc073a10274491271f4622ea1c7819e2b2f15b10f5b6fedd5fc203",
-    "fit_D.json": "a20f8ba49f4d6518752eb350dacd62d4d82186987e33f6c64ffed8af8b3b0c67",
-    "fit_mixed_commercial.json": "fb731f73cbc71b8da18a2da9b2a67df64de021227018de6c2d2ed2c5ef873e29",
-    "grid_mixed_commercial_fitted.csv": "0a7899a2a49f0afa3203d8ba77f604c2517af844b7d53c2d2c6f30740e393c12",
-    "grid_mixed_commercial_true.csv": "1b82f19fe40803a7fb822cb9599c3c8e531913576553548019f8239ed1f9ce15",
-    "mae_mixed_commercial.json": "0f7a45fde51329425c496c2b7b89c15b5886aa9bd237e534f53681e3971b27b2",
-    "sweep_mixed_commercial_long.csv": "0cf9529c03a15a2d5c71325dc99f6ed642518015371188e3c6fe6089cb22b2a7",
-    "sweep_mixed_commercial_matrix.csv": "91681bbd82ad685a37d935638360a8c824a12e9a74775cf9a7dfb159feca7ff7",
-    "sweep_mixed_commercial_summary.csv": "e510ddb2cee47ab04fd60c4ede79084841e6535c4ecb520ba784bdacc8d64f84",
-    "train_A.csv": "1d142485170ce7b3f628b4053a0b78563ed1ac19317b78c7fcb5c2be799da16a",
-    "train_B.csv": "7746f36426cb547920172ce73e79d160e87b57406082e56a232659ba71e6993e",
-    "train_C.csv": "7b871082b3319ae5ad22d8c1afdafe3d56d780667ce8caf6f747be8a11a91a46",
-    "train_D.csv": "f74c9e22c3a5484fda7eb1b6830d1de5dbb82438b9f0996fdd08b308e2e47fc0",
-    "train_mixed_commercial.csv": "ec52ad7a6422d9ae87ab1ed049a9358b14352c1f913eb2844630f3762562f238",
+    "fit_A.json": "01b8ee7c04c802e77985e86a6f743247506f99e6a5ea552740a635d6a0e17760",
+    "fit_B.json": "b519cb4075234557a093f4c76267d25772ceada1c7739eed722f71cb22b88ed5",
+    "fit_C.json": "4be086478b65861b3e365c246558918215f412e4c31509a83b92a1bf09b77cff",
+    "fit_D.json": "d63147a23147cd4f55f2d73966b0b5de3cb36928cf501bd2fcb9e9d5021230fd",
+    "fit_mixed_commercial.json": "e85a1d9eb4c55683b7b32dffb100b9213e41c3856511d663fe6d108db7c65843",
+    "grid_mixed_commercial_fitted.csv": "19c400dccfd2c5c82f0a90abbfde1f233c8b58ccdadd18ddfb29945c4c0c0847",
+    "grid_mixed_commercial_true.csv": "e2fdbe1f814d88e82fc9d50473aeb657e0df519500a13b38f08388e988acd43e",
+    "mae_mixed_commercial.json": "26ef3581c9d72d909921272eff43289ff1953db421e4023fb74b87b347c62fe8",
+    "sweep_mixed_commercial_long.csv": "5223e75ec17539c59ef2584b4bd11537c75102c3ef45ee2c77014a339860df75",
+    "sweep_mixed_commercial_matrix.csv": "c9a78f0dfeac5da875504429f7dfd6b550de8d02add057008bdd1336155a1a1b",
+    "sweep_mixed_commercial_summary.csv": "553a823f3f6c225889415242634e984b05134d9cad089b02c42d6d7de0e4769e",
+    "train_A.csv": "ec13e28df516d4bed655aeb36d8161b6e029096f8b6bf5e8b1da77cf3597533b",
+    "train_B.csv": "26246db7f3300ca9b97eadebe8777a7bdb3a7a80c90940ddca19efd8841ae0a0",
+    "train_C.csv": "a2d3014b9203654a293b17d4e3dc4740f83e0d4821e3075b1569b8c76c62baf4",
+    "train_D.csv": "02261f689585a6469ab703e25f629d16663033fe036958674f235ad28cd76fe4",
+    "train_mixed_commercial.csv": "37cf1807e4a8d4dbf39e36b2d45d36494e315f4a0efafd7dff3de9540b1dcc47",
 }
 
 
@@ -303,35 +348,51 @@ def test_cli_artifact_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     base = ["--config", str(EXAMPLE_CONFIG), "--out", "out"]
     target = ["--motor", "mixed_commercial"]
-    assert main(["fit", *base, *target]) == 0
-    assert main(["grid", *base, *target, "--target", "true"]) == 0
-    assert main(["grid", *base, *target, "--target", "fitted"]) == 0
-    assert main(["mae", *base, *target]) == 0
-    assert main(["sweep", *base, *target]) == 0
-    for motor in "ABCD":
-        assert main(["fit", *base, "--motor", motor, "--seed", "7"]) == 0
-    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-               for path in (tmp_path / "out").iterdir()}
-    assert digests == _GOLDEN_ARTIFACTS
+    runs = [["fit", *base, *target], ["grid", *base, *target, "--target", "true"],
+            ["grid", *base, *target, "--target", "fitted"], ["mae", *base, *target],
+            ["sweep", *base, *target]]
+    runs += [["fit", *base, "--motor", motor, "--seed", "7"] for motor in "ABCD"]
+    assert _echo_free_digests(tmp_path / "out", runs) == _GOLDEN_ARTIFACTS
 
 
 _GOLDEN_REFIT_ARTIFACTS = {
-    "fit_mixed_commercial.json": "fbb517d859546c04f62e6e6cf1fe96babd183a30945da87f88bd77986f5fa88b",
-    "sweep_mixed_commercial_long.csv": "58401e2d264c979b081bf01d225843a19a7b48f4b009a7c5b6237c305db2715a",
-    "sweep_mixed_commercial_summary.csv": "44da327d0c34e20ba97853cb5ec4fa42386735465995b53f000248e16203d809",
-    "train_mixed_commercial.csv": "faf46953c5edc219977c88ef7b59c1c6fb14ade10d7bc75f6f2a316b2d4bcba8",
+    "fit_mixed_commercial.json": "0c6da89b7be58b2a91d4ee11240a297841c4a8edc9700ac6f51a8af1469742bd",
+    "sweep_mixed_commercial_long.csv": "d88967056eebafd8c273c741ef40efb94e75e202d3240db62719e211b032a93e",
+    "sweep_mixed_commercial_summary.csv": "45b1c7b9ca8bf861eb9a707e41de7a8fb6635630e0953e63abf8533bd54c4612",
+    "train_mixed_commercial.csv": "04df6982d4956fabc7b60afecd70c079c52bc65e5f65993367f1410c450b0b30",
 }
+
+
+def _refit_config(tmp_path):
+    return _small_config(tmp_path, output_dir="out", uncertainty={
+        "gamma_levels": [0.2, 0.8], "trials": 30, "m_eval": 300, "refit": True})
+
+
+def test_refit_config_echo_is_pinned(tmp_path):
+    # The refit goldens' echo, every default spelled out, as the example config's is.
+    expected = {
+        "protection_library": "builtin",
+        "output_dir": "out",
+        "seed": 11,
+        "sampler": {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5, "n_train": 60,
+                    "m_eval": 600},
+        "smoothing": {"continuation_schedule": [[10.0, 0.4], [60.0, 2.5]]},
+        "fit": {"n_starts": 4, "max_iters": 150, "gtol": 1e-05},
+        "uncertainty": {"gamma_levels": [0.2, 0.8], "targets": [], "trials": 30, "refit": True,
+                        "m_eval": 300, "matrix_targets": None},
+        "composites": {"mixed_commercial": {"P1": 0.15, "P2": 0.3, "P3": 0.1, "P5": 0.15,
+                                            "P1-P4-P5": 0.3}},
+    }
+    echo = load_config(_refit_config(tmp_path)).echo
+    assert echo == expected
+    assert json.dumps(echo, sort_keys=True) == json.dumps(expected, sort_keys=True)
 
 
 def test_cli_refit_sweep_golden_digests(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    path = _small_config(tmp_path, output_dir="out", uncertainty={
-        "gamma_levels": [0.2, 0.8], "trials": 30, "m_eval": 300, "refit": True})
-    for verb in ("fit", "sweep"):
-        assert main([verb, "--config", str(path), "--motor", "mixed_commercial"]) == 0
-    digests = {out.name: hashlib.sha256(out.read_bytes()).hexdigest()
-               for out in (tmp_path / "out").iterdir()}
-    assert digests == _GOLDEN_REFIT_ARTIFACTS
+    argv = ["--config", str(_refit_config(tmp_path)), "--motor", "mixed_commercial"]
+    runs = [["fit", *argv], ["sweep", *argv]]
+    assert _echo_free_digests(tmp_path / "out", runs) == _GOLDEN_REFIT_ARTIFACTS
 
 
 def test_cli_grid(tmp_path, capsys):
@@ -368,6 +429,110 @@ def test_cli_grid_requires_fit(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["grid", "--config", str(path), "--motor", "A", "--target", "fitted"]) == 2
     assert "no fit result" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("resolution", [math.isqrt(sys.maxsize) + 1, 10**30],
+                         ids=["bound+1", "10**30"])
+def test_cli_grid_refuses_resolution_numpy_cannot_size(tmp_path, capsys, resolution):
+    # An r x r grid of more than sys.maxsize points cannot be sized: np.linspace
+    # ended in a ValueError traceback with exit 1, the code for a fit that did not converge.
+    bound = math.isqrt(sys.maxsize)
+    assert bound**2 <= sys.maxsize < (bound + 1)**2
+    path = _small_config(tmp_path)
+    assert main(["grid", "--config", str(path), "--motor", "C", "--target", "true",
+                 "--resolution", str(resolution)]) == 2
+    assert capsys.readouterr().err == (f"error: --resolution must be at most {bound}, "
+                                       f"got {resolution}\n")
+    assert not (tmp_path / "out").exists()
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize("section, make, limit, message", [
+    ("sampler", lambda x: {"beta_tau": x}, _FLOAT_MAX / 5,
+     "sampler: beta_tau must be at most 3.5953862697246315e+307, "
+     "so that beta_tau * 5 stays finite; got 1e+308"),
+    ("sampler", lambda x: {"beta_v": x}, _FLOAT_MAX / 50,
+     "sampler: beta_v must be at most 3.595386269724631e+306, "
+     "so that beta_v * 50 stays finite; got 1e+308"),
+    ("smoothing", lambda x: {"continuation_schedule": [[10.0, 0.4], [x, 2.5]]}, _FLOAT_MAX / 5,
+     "smoothing: continuation_schedule alpha_tau must be at most 3.5953862697246315e+307, "
+     "so that continuation_schedule alpha_tau * 5 stays finite; got 1e+308"),
+    ("smoothing", lambda x: {"continuation_schedule": [[10.0, 0.4], [60.0, x]]}, _FLOAT_MAX / 100,
+     "smoothing: continuation_schedule alpha_v must be at most 1.7976931348623156e+306, "
+     "so that continuation_schedule alpha_v * 100 stays finite; got 1e+308"),
+], ids=["sampler.beta_tau", "sampler.beta_v", "smoothing.alpha_tau", "smoothing.alpha_v"])
+def test_cli_refuses_rates_that_overflow_a_float(tmp_path, capsys, section, make, limit, message):
+    # A rate times the largest offset it meets in the fault box, 5 s in tau, 50 %
+    # above the weight's knee or 100 % in v, must be a finite float: past that,
+    # the weight or the smoothed kernel overflowed with a RuntimeWarning and fit
+    # exited 0.  At the limit a fit runs clean; filterwarnings = error checks that.
+    doc = json.loads(_small_config(tmp_path).read_text())
+    path = _small_config(tmp_path, **{section: {**doc[section], **make(limit)}})
+    assert main(["fit", "--config", str(path), "--motor", "C"]) in (0, 1)
+    path = _small_config(tmp_path, output_dir="refused",
+                         **{section: {**doc[section], **make(1e308)}})
+    capsys.readouterr()
+    for verb in (["validate"], ["fit", "--motor", "C"]):
+        assert main([*verb, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "refused").exists()
+
+
+def _with_each_float(hint, value, x) -> list:
+    """value, of type hint, with one of its floats at x: one result per float in it."""
+    if hint is float:
+        return [x]
+    if typing.get_origin(hint) is not tuple:
+        return []
+    args = typing.get_args(hint)
+    return [[*value[:i], new, *value[i + 1:]] for i, item in enumerate(value)
+            for new in _with_each_float(args[0] if args[-1] is Ellipsis else args[i], item, x)]
+
+
+def _outcome(argv):
+    """main(argv)'s exit code, or the exception or warning that escaped it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+        except Exception as exc:  # every escape is a finding
+            return repr(exc)
+
+
+def test_cli_edge_values_exit_cleanly(tmp_path, capsys):
+    # Each float of the four sections, one at a time, at the smallest subnormal
+    # and near the largest float, and each integer CLI argument at 10**30: every
+    # verb exits 0, 1 or 2, and nothing escapes as a traceback or a RuntimeWarning.
+    base = {"sampler": {"n_train": 20, "m_eval": 200},
+            "smoothing": {"continuation_schedule": [[50.0, 2.0]]},
+            "fit": {"n_starts": 1, "max_iters": 50},
+            "uncertainty": {"gamma_levels": [0.0, 0.4], "trials": 30, "m_eval": 100}}
+    outcomes = {}
+
+    def walk(case, verb, path, *extra):
+        motor = ["--motor", "C"] * (verb != "validate")
+        outcomes[f"{case} {verb}"] = _outcome([verb, "--config", str(path), *motor, *extra])
+
+    for section, cls in _SECTIONS.items():
+        for name, hint in _hints(cls).items():
+            value = base[section].get(name, getattr(cls(), name))
+            for new in _with_each_float(hint, value, 5e-324) + _with_each_float(hint, value, 1e308):
+                path = _small_config(tmp_path, **{**base, section: {**base[section], name: new}})
+                for verb in ["validate", "fit"] + ["sweep"] * (section == "uncertainty"):
+                    walk(f"{section}.{name}={new}", verb, path)
+    path = _small_config(tmp_path, **base)
+    subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for verb, parser in subparsers.choices.items():
+        for option in (a.option_strings[0] for a in parser._actions if a.type is int):
+            walk(f"{option}=10**30", verb, path, option, str(10**30))
+    capsys.readouterr()
+    assert {"sampler.beta_v=1e+308 fit", "smoothing.continuation_schedule=[[1e+308, 2.0]] fit",
+            "--resolution=10**30 grid"} <= outcomes.keys()
+    assert {case: out for case, out in outcomes.items() if out not in (0, 1, 2)} == {}
 
 
 def test_cli_mae_and_sweep(tmp_path, capsys):
@@ -437,52 +602,27 @@ def test_cli_rejects_fit_from_other_seed_or_setup(tmp_path, capsys):
                               "different composite C; rerun `tripfit fit --motor C`"), err
 
 
-def test_cli_rejects_fit_echoing_alpha_tau_and_alpha_v(tmp_path, capsys):
-    # smoothing has no alpha_tau or alpha_v field; a fit whose echo holds them is stale.
+@pytest.mark.parametrize("section, stale", [
+    ("smoothing", {"alpha_tau": 50.0, "alpha_v": 2.0}),
+    ("sampler", {"tau_range": [0.0, 5.0], "v_range": [0.0, 100.0]}),
+    ("fit", {"ptol": 1e-12}),
+], ids=["smoothing.alpha_tau", "sampler.tau_range", "fit.ptol"])
+def test_cli_rejects_fit_echoing_removed_field(tmp_path, capsys, section, stale):
+    # The section has no such field any more; a fit whose echo holds one is stale.
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
     fit_path = tmp_path / "out" / "fit_C.json"
     doc = json.loads(fit_path.read_text())
-    doc["config"]["smoothing"] = {"alpha_tau": 50.0, "alpha_v": 2.0, **doc["config"]["smoothing"]}
-    fit_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["mae", "--config", str(path), "--motor", "C"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {fit_path} was fitted under a different smoothing.alpha_tau; "
-                          "rerun `tripfit fit --motor C` with this config")
-    assert not (tmp_path / "out" / "mae_C.json").exists()
-
-
-def test_cli_rejects_fit_echoing_tau_range_and_v_range(tmp_path, capsys):
-    # sampler has no tau_range or v_range field; a fit whose echo holds them is stale.
-    path = _small_config(tmp_path)
-    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
-    fit_path = tmp_path / "out" / "fit_C.json"
-    doc = json.loads(fit_path.read_text())
-    doc["config"]["sampler"] |= {"tau_range": [0.0, 5.0], "v_range": [0.0, 100.0]}
+    doc["config"][section] |= stale
     fit_path.write_text(json.dumps(doc))
     capsys.readouterr()
     for verb in (["grid", "--target", "fitted"], ["mae"], ["sweep"]):
         assert main([*verb, "--config", str(path), "--motor", "C"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {fit_path} was fitted under a different sampler.tau_range; "
+        assert err.startswith(f"error: {fit_path} was fitted under a different "
+                              f"{section}.{min(stale)}; "
                               "rerun `tripfit fit --motor C` with this config"), err
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["fit_C.json", "train_C.csv"]
-
-
-def test_cli_rejects_fit_echoing_ptol(tmp_path, capsys):
-    # fit has no ptol field; a fit whose echo holds one is stale.
-    path = _small_config(tmp_path)
-    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
-    fit_path = tmp_path / "out" / "fit_C.json"
-    doc = json.loads(fit_path.read_text())
-    doc["config"]["fit"]["ptol"] = 1e-12
-    fit_path.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["mae", "--config", str(path), "--motor", "C"]) == 2
-    assert capsys.readouterr().err.startswith(
-        f"error: {fit_path} was fitted under a different fit.ptol; "
-        "rerun `tripfit fit --motor C` with this config")
 
 
 def test_cli_sweep_skips_matrix_when_targets_absent(tmp_path, capsys):
