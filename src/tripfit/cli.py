@@ -90,7 +90,7 @@ def _load_fitted_model(cfg: ProjectConfig, target: str, comp: CompositeProtectio
         raise ConfigError(f"{path} holds no valid model ({exc!r}); {rerun}") from None
 
 
-def cmd_validate(cfg: ProjectConfig) -> int:
+def cmd_validate(cfg: ProjectConfig, args: argparse.Namespace) -> int:
     print(f"protection library: {cfg.echo['protection_library']} "
           f"({len(cfg.library.schemes)} schemes)")
     print(f"targets: {', '.join(cfg.library.targets())}")
@@ -103,7 +103,8 @@ def cmd_validate(cfg: ProjectConfig) -> int:
     return 0
 
 
-def cmd_fit(cfg: ProjectConfig, target: str) -> int:
+def cmd_fit(cfg: ProjectConfig, args: argparse.Namespace) -> int:
+    target = args.motor
     comp = cfg.composite_for(target)
     data = sample_training(comp, cfg.sampler)
     result = fit(data, cfg.smoothing, cfg.fit)
@@ -131,14 +132,21 @@ def cmd_fit(cfg: ProjectConfig, target: str) -> int:
           f"cost={result.final_cost:.3e} mae={report.epsilon:.4f}")
     if not result.converged:
         stages = len(cfg.smoothing.continuation_schedule)
-        print(f"warning: fit for {target} did not reach the gradient tolerance; the winning "
-              f"start stopped after {result.iterations} iterations over {stages} stages "
+        what = ("did not reach the gradient tolerance" if result.iterations else
+                "did not converge: its winning start never moved")
+        print(f"warning: fit for {target} {what}; the winning start stopped after "
+              f"{result.iterations} iterations over {stages} stages "
               f"(budget {cfg.fit.max_iters} iterations per stage)", file=sys.stderr)
         return 1
     return 0
 
 
-def cmd_grid(cfg: ProjectConfig, target: str, grid_target: str, resolution: int) -> int:
+def cmd_grid(cfg: ProjectConfig, args: argparse.Namespace) -> int:
+    target, grid_target, resolution = args.motor, args.target, args.resolution
+    if resolution < 2:
+        raise ConfigError("--resolution must be >= 2")
+    if resolution > MAX_GRID_RESOLUTION:
+        raise ConfigError(f"--resolution must be at most {MAX_GRID_RESOLUTION}, got {resolution}")
     comp = cfg.composite_for(target)
     if grid_target == "true":
         evaluand = comp
@@ -158,7 +166,8 @@ def cmd_grid(cfg: ProjectConfig, target: str, grid_target: str, resolution: int)
     return 0
 
 
-def cmd_mae(cfg: ProjectConfig, target: str) -> int:
+def cmd_mae(cfg: ProjectConfig, args: argparse.Namespace) -> int:
+    target = args.motor
     comp = cfg.composite_for(target)
     model = _load_fitted_model(cfg, target, comp)
     report = mae(harden(model), comp, cfg.sampler.m_eval, cfg.seed)
@@ -175,7 +184,8 @@ def cmd_mae(cfg: ProjectConfig, target: str) -> int:
     return 0
 
 
-def cmd_sweep(cfg: ProjectConfig, target: str) -> int:
+def cmd_sweep(cfg: ProjectConfig, args: argparse.Namespace) -> int:
+    target = args.motor
     comp = cfg.composite_for(target)
     spec = cfg.uncertainty
     missing = [name for name in spec.targets if name not in comp.names]
@@ -213,8 +223,9 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_motor=True):
+    def add(name, run, help_text, needs_motor=True):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", required=True, help="project config JSON")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--out", default=None, help="override the output directory")
@@ -223,16 +234,16 @@ def _parser() -> argparse.ArgumentParser:
                            help="motor class letter or named composite")
         return p
 
-    add("validate", "parse and validate the config, print effective values",
+    add("validate", cmd_validate, "parse and validate the config, print effective values",
         needs_motor=False)
-    add("fit", "sample training data, fit the two-block model, report MAE")
-    grid = add("grid", "emit a CSV heatmap of a composite or fitted model")
+    add("fit", cmd_fit, "sample training data, fit the two-block model, report MAE")
+    grid = add("grid", cmd_grid, "emit a CSV heatmap of a composite or fitted model")
     grid.add_argument("--target", choices=("true", "fitted"), default="true",
                       help="evaluate the true composite or the fitted model")
     grid.add_argument("--resolution", type=int, default=DEFAULT_GRID_RESOLUTION,
                       help="grid points per axis")
-    add("mae", "recompute the MAE report for an existing fit")
-    add("sweep", "Monte Carlo MAE sweep over load-fraction uncertainty levels")
+    add("mae", cmd_mae, "recompute the MAE report for an existing fit")
+    add("sweep", cmd_sweep, "Monte Carlo MAE sweep over load-fraction uncertainty levels")
     return parser
 
 
@@ -240,22 +251,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config, seed_override=args.seed, out_override=args.out)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg, args.motor)
-        if args.command == "grid":
-            if args.resolution < 2:
-                raise ConfigError("--resolution must be >= 2")
-            if args.resolution > MAX_GRID_RESOLUTION:
-                raise ConfigError(f"--resolution must be at most {MAX_GRID_RESOLUTION}, "
-                                  f"got {args.resolution}")
-            return cmd_grid(cfg, args.motor, args.target, args.resolution)
-        if args.command == "mae":
-            return cmd_mae(cfg, args.motor)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.motor)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.run(cfg, args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,29 +1,12 @@
 """Project configuration: one JSON file driving the whole pipeline.
 
-Layout (all sections optional except protection_library; defaults shown by
-`tripfit validate`)::
-
-    {
-      "protection_library": "builtin",          // or a path, relative to this file
-      "output_dir": "out",
-      "seed": 20240501,
-      "sampler":   {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5,
-                    "n_train": 200, "m_eval": 5000},
-      "smoothing": {"continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
-      "fit":       {"n_starts": 20, "max_iters": 400, "gtol": 1e-5},
-      "uncertainty": {"gamma_levels": [0.1, ..., 0.8], "targets": [],
-                      "trials": 200, "refit": false, "m_eval": 2000,
-                      "matrix_targets": ["P2", "P1-P4-P5"]},
-      "composites": {}                           // extra named fraction maps
-    }
-
-The global seed feeds every stochastic stage; named RNG streams keep them
-independent, and a `seed` inside a section is rejected.  Every other integer
-setting is a count, and one too large for numpy to size an array by is
-rejected.  The fit's steepness is set by `smoothing.continuation_schedule`
-alone: one (alpha_tau, alpha_v) pair per stage, a single pair for a fit
-without continuation.  The fully materialized configuration is echoed into
-every output file, so any artifact can be re-derived exactly.
+README's Configuration section lists every key, and `tripfit validate`
+prints every effective value, defaults included.  The global seed feeds
+every stochastic stage; named RNG streams keep them independent, and a
+`seed` inside a section is rejected.  Every other integer setting is a
+count, and one too large for numpy to size an array by is rejected.  The
+fully materialized configuration is echoed into every output file, so any
+artifact can be re-derived exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +20,7 @@ from pathlib import Path
 from .evaluation import UncertaintySpec
 from .library import BUILTIN, ProtectionLibrary, _decode_json, parse_library, read_library
 from .regression import FitConfig, SmoothingConfig
-from .sampling import SamplerConfig, _hints, _known, _typed
+from .sampling import SamplerConfig, _hints, _object, _typed
 
 # The sections that configure one pipeline stage each, by the dataclass that validates them.
 _SECTIONS = {
@@ -47,24 +30,28 @@ _SECTIONS = {
     "uncertainty": UncertaintySpec,
 }
 
+# The keys of a config file, each with its type; the seed is typed once --seed has had its say.
+_CONFIG = {"protection_library": str, "output_dir": str, "seed": object, "composites": dict,
+           **dict.fromkeys(_SECTIONS, dict)}
+
 
 class ConfigError(ValueError):
     """A configuration file failed to parse or validate."""
 
 
-def _build(cls, raw, where: str, seed: int):
-    """The section's dataclass, given the global seed if it has a seed field.
+def _build(cls, raw: dict, where: str, seed: int):
+    """The section's dataclass from its JSON object, given the global seed if it has a seed field.
 
     Each integer field other than the seed is a count, refused past
     sys.maxsize, numpy's largest array size (its intp is a Py_ssize_t).
     """
-    fields = {f.name for f in dataclasses.fields(cls)}
-    if "seed" in _typed(dict, raw, where):
+    if "seed" in raw:
         raise ValueError(f"{where}: 'seed' is set at the top level only")
-    _known(raw, fields - {"seed"}, where)
+    hints = _hints(cls)
+    fields = _object({name: hint for name, hint in hints.items() if name != "seed"}, raw, where)
     try:
-        section = cls(**raw, **({"seed": seed} if "seed" in fields else {}))
-        for name, hint in _hints(cls).items():
+        section = cls(**fields, **({"seed": seed} if "seed" in hints else {}))
+        for name, hint in hints.items():
             if hint is int and name != "seed" and getattr(section, name) > sys.maxsize:
                 raise ValueError(f"{name} must be at most {sys.maxsize}, "
                                  f"got {getattr(section, name)}")
@@ -101,10 +88,7 @@ def load_config(
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        doc = _typed(dict, _decode_json(path.read_bytes(), path), f"{path}: top level")
-        _known(doc, ("protection_library", "output_dir", "seed", "composites", *_SECTIONS), path)
-        for key in ("protection_library", "output_dir"):
-            _typed(str, doc.get(key, ""), f"{path}: {key}")
+        doc = _object(_CONFIG, _decode_json(path.read_bytes(), path), path, f"{path}: top level")
         seed = _typed(int, seed_override if seed_override is not None else doc.get("seed", 0),
                       f"{path}: seed")
         if seed < 0:

@@ -55,7 +55,6 @@ class UncertaintySpec:
         _check_fields(self)
         if not self.gamma_levels:
             raise ValueError("gamma_levels must not be empty")
-        object.__setattr__(self, "gamma_levels", tuple(float(g) for g in self.gamma_levels))
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"targets must not repeat a scheme, got {list(self.targets)}")
         if self.matrix_targets is not None and len(set(self.matrix_targets)) != 2:
@@ -77,7 +76,7 @@ class LevelStats:
     p12_5: float
     p87_5: float
     maes: np.ndarray
-    not_converged: int  # refits that ended above gtol; 0 without refits
+    not_converged: int  # refits that ended above gtol or never moved; 0 without refits
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,11 @@ its zone is the union of the members' zones.  `fraction_table` rows carry one
 load fraction per motor class, and `motor_classes` must be distinct.
 `composites` are extra named fraction maps (used for ad-hoc test mixes).
 Every class column and composite is checked by building its
-CompositeProtection, so fractions lie in [0, 1] and sum to 1.  Each section's
-type is checked by sampling._checked, as config sections are; an unknown key
-at the top level or in a base scheme is refused, and every base scheme needs
-`steps` (`[]` is a zone that never trips).  `description` and a scheme's
-`label` are free text.
+CompositeProtection, so fractions lie in [0, 1] and sum to 1.  The document
+and each base scheme are checked by sampling._object against their key tables
+_LIBRARY and _SCHEME, as config files are: an unknown key is refused, and
+`description` and a scheme's `label` are free text but must be strings.
+Every base scheme needs `steps` (`[]` is a zone that never trips).
 """
 
 from __future__ import annotations
@@ -32,16 +32,18 @@ from importlib import resources
 from pathlib import Path
 
 from .protection import CompositeProtection, ProtectionScheme, TripZone, combine_schemes
-from .sampling import _known, _typed
+from .sampling import _object, _typed
 
 EXPECTED_UNITS = {"tau_break": "seconds", "v_threshold": "percent_of_nominal"}
 
 BUILTIN = "builtin"
 
-# The keys a library document and a base-scheme entry may hold.
-_LIBRARY_KEYS = ("description", "units", "base_schemes", "combinations", "motor_classes",
-                 "fraction_table", "composites")
-_SCHEME_KEYS = ("label", "steps")
+# The keys a library document and a base-scheme entry may hold, each with its type;
+# units is compared with EXPECTED_UNITS as a whole.
+_LIBRARY = {"description": str, "units": object, "base_schemes": dict, "combinations": dict,
+            "motor_classes": tuple[str, ...], "fraction_table": dict[str, tuple[float, ...]],
+            "composites": dict}
+_SCHEME = {"label": str, "steps": tuple[tuple[float, float], ...]}
 
 
 @dataclass(frozen=True)
@@ -77,11 +79,11 @@ class ProtectionLibrary:
             (self.scheme(name), pi) for name, pi in fractions.items() if pi != 0.0
         ))
 
-    def with_composites(self, raw, source: str | Path) -> ProtectionLibrary:
+    def with_composites(self, raw: dict, source: str | Path) -> ProtectionLibrary:
         """This library plus raw's named fraction maps, in order; errors name source, their file."""
         composites = dict(self.composites)
         library = replace(self, composites=composites)
-        for key, fractions in _typed(dict, raw, f"{source}: composites").items():
+        for key, fractions in raw.items():
             where = f"{source}: composite {key!r}"
             if key in self.motor_classes:
                 raise ValueError(f"{where} clashes with a motor class")
@@ -91,7 +93,7 @@ class ProtectionLibrary:
             for name in fractions:
                 if name not in self.schemes:
                     raise ValueError(f"{where} references unknown scheme {name!r}")
-            composites[key] = {name: float(pi) for name, pi in fractions.items()}
+            composites[key] = fractions
             _check_composite(library, key, where)
         return library
 
@@ -106,7 +108,7 @@ def _check_composite(library: ProtectionLibrary, key: str, where: str) -> None:
 
 def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
     """Validate a decoded library document and resolve all schemes."""
-    _known(_typed(dict, doc, f"{source}: library document"), _LIBRARY_KEYS, source)
+    doc = _object(_LIBRARY, doc, source, f"{source}: library document")
     units = doc.get("units")
     if units != EXPECTED_UNITS:
         raise ValueError(
@@ -115,21 +117,20 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
         )
 
     schemes: dict[str, ProtectionScheme] = {}
-    base = _typed(dict[str, dict], doc.get("base_schemes", {}), f"{source}: base_schemes")
+    base = doc.get("base_schemes", {})
     if not base:
         raise ValueError(f"{source}: base_schemes must be non-empty")
     for name, entry in base.items():
         where = f"{source}: base_schemes[{name!r}]"
-        _known(entry, _SCHEME_KEYS, where)
+        entry = _object(_SCHEME, entry, where)
         if "steps" not in entry:
             raise ValueError(f"{where}: missing field 'steps' ([] is a zone that never trips)")
-        steps = _typed(tuple[tuple[float, float], ...], entry["steps"], f"{where}: steps")
         try:
-            schemes[name] = ProtectionScheme(name, TripZone(steps))
+            schemes[name] = ProtectionScheme(name, TripZone(entry["steps"]))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 
-    for name, members in _typed(dict, doc.get("combinations", {}), f"{source}: combinations").items():
+    for name, members in doc.get("combinations", {}).items():
         if name in schemes:
             raise ValueError(f"{source}: combination {name!r} clashes with a base scheme")
         members = _typed(tuple[str, ...], members, f"{source}: combination {name!r}")
@@ -146,12 +147,11 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
             )
         schemes[name] = combined
 
-    motor_classes = _typed(tuple[str, ...], doc.get("motor_classes", []), f"{source}: motor_classes")
+    motor_classes = doc.get("motor_classes", ())
     if len(set(motor_classes)) != len(motor_classes):
         raise ValueError(f"{source}: motor_classes must not repeat a name, "
                          f"got {list(motor_classes)!r}")
-    table = _typed(dict[str, tuple[float, ...]], doc.get("fraction_table", {}),
-                   f"{source}: fraction_table")
+    table = doc.get("fraction_table", {})
     for name, row in table.items():
         if name not in schemes:
             raise ValueError(f"{source}: fraction_table row {name!r} is not a known scheme")
@@ -160,8 +160,7 @@ def parse_library(doc: dict, source: str = "<memory>") -> ProtectionLibrary:
                 f"{source}: fraction_table[{name!r}] must have one value per motor class "
                 f"({len(motor_classes)}), got {len(row)}"
             )
-    fraction_table = {name: tuple(map(float, row)) for name, row in table.items()}
-    library = ProtectionLibrary(schemes, motor_classes, fraction_table, {}, source)
+    library = ProtectionLibrary(schemes, motor_classes, table, {}, source)
     for motor in motor_classes:
         _check_composite(library, motor, f"{source}: motor {motor!r}")
     return library.with_composites(doc.get("composites", {}), source)

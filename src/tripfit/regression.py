@@ -145,12 +145,10 @@ class SmoothingConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        schedule = tuple((float(a), float(b)) for a, b in self.continuation_schedule)
-        object.__setattr__(self, "continuation_schedule", schedule)
-        if not schedule:
+        if not self.continuation_schedule:
             raise ValueError("continuation_schedule must not be empty")
         prev = (0.0, 0.0)
-        for at, av in schedule:
+        for at, av in self.continuation_schedule:
             if at <= 0.0 or av <= 0.0:
                 raise ValueError("steepness parameters must be > 0")
             if at <= prev[0] or av <= prev[1]:
@@ -166,8 +164,8 @@ class FitConfig:
     """Multistart solver budget and tolerance (in unit-scaled coordinates).
 
     gtol bounds the projected-gradient infinity norm that counts as
-    converged.  A stage solve also stops on L-BFGS-B's relative-reduction
-    test at the fixed _LBFGSB_PTOL.
+    converged, for a start that moved at least once.  A stage solve also
+    stops on L-BFGS-B's relative-reduction test at the fixed _LBFGSB_PTOL.
     """
 
     n_starts: int = 20
@@ -383,7 +381,9 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
     stages (warm-starting each stage from the last; the final stage falls
     back to the raw start if continuation degraded its cost).  All starts of
     a stage run in lockstep, each its own L-BFGS-B solve.  A start counts as
-    converged when its final projected-gradient norm is at most gtol.  The
+    converged when it made at least one iteration and its final
+    projected-gradient norm is at most gtol: a start that never moved proves
+    nothing, as on a flat schedule where every gradient vanishes.  The
     winner is the lowest final-stage cost, ties broken by start index.
     Deterministic given (d, s, f).
     """
@@ -410,7 +410,7 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
             iters += nit
     start_costs, g = fun_grad(u, *stages[-1])
     pg_norm = np.abs(u - np.clip(u - g, 0.0, 1.0)).max(axis=1)
-    start_conv = pg_norm <= f.gtol
+    start_conv = (pg_norm <= f.gtol) & (iters > 0)
     start_index = int(np.argmin(start_costs))  # the first of equal lowest costs
 
     model = SimplifiedModel.from_reduced(_LO + u[start_index] * _SPAN).canonical()

@@ -40,14 +40,18 @@ _origin = functools.cache(typing.get_origin)
 
 
 def _checked(hint, value, name: str, entry: str | None = None):
-    """value, lists made tuples, if it is of type hint; else TypeError or ValueError.
+    """value, lists made tuples and numbers floats where hint says float, if of type hint.
 
-    hint is a _SCALARS key, tuple[X, ...], tuple[X, X], X | None, dict or
-    dict[str, X].  A wrong scalar raises TypeError; a wrong container, or a
-    float hint's inf, nan or integer past the largest float, ValueError.
-    Messages name the value `name`, each tuple entry, at any depth, `entry`
-    (default "{name} entry") and each dict value "{name}[key]".
+    hint is a _SCALARS key, tuple[X, ...], tuple[X, X], X | None, dict,
+    dict[str, X] or object, which takes any value.  A wrong scalar raises
+    TypeError; a wrong container, or a float hint's inf, nan or integer past
+    the largest float, ValueError.  A float hint turns 1 into 1.0, so equal
+    settings give equal echoes however their numbers are written.  Messages
+    name the value `name`, each tuple entry, at any depth, `entry` (default
+    "{name} entry") and each dict value "{name}[key]".
     """
+    if hint is object:
+        return value
     if hint in _SCALARS:
         what, kind = _SCALARS[hint]
         # A bool is neither an int nor a float.
@@ -55,7 +59,7 @@ def _checked(hint, value, name: str, entry: str | None = None):
             raise TypeError(f"{name} must be {what}, got {value!r}")
         if hint is float and not -sys.float_info.max <= value <= sys.float_info.max:
             raise ValueError(f"{name} must be a finite number, got {value!r}")
-        return value
+        return float(value) if hint is float else value
     if hint is dict or _origin(hint) is dict:
         if not isinstance(value, dict):
             raise ValueError(f"{name} must be a JSON object, got {value!r}")
@@ -84,11 +88,19 @@ def _typed(hint, value, name: str):
         raise ValueError(str(exc)) from None
 
 
-def _known(raw: dict, known, where) -> None:
-    """Refuse a key of the JSON object raw that is not in known; the ValueError names where."""
-    unknown = set(raw) - set(known)
+def _object(spec: dict, raw, where, name=None) -> dict:
+    """The JSON object raw, each value checked by _typed against its key's type in spec.
+
+    Every refusal is a ValueError: raw not an object names it `name` (default
+    where), a key not in spec names where, and a mistyped value "{where}: {key}".
+    The values are checked in spec's order.
+    """
+    raw = _typed(dict, raw, name or where)
+    unknown = raw.keys() - spec.keys()
     if unknown:
-        raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}; known: {sorted(known)}")
+        raise ValueError(f"{where}: unknown field(s) {sorted(unknown)}; known: {sorted(spec)}")
+    return {key: _typed(hint, raw[key], f"{where}: {key}") for key, hint in spec.items()
+            if key in raw}
 
 
 def _check_fields(obj) -> None:

@@ -1,9 +1,12 @@
 import argparse
+import copy
 import dataclasses
+import functools
 import hashlib
 import importlib.util
 import json
 import math
+import operator
 import re
 import shutil
 import subprocess
@@ -17,7 +20,7 @@ import pytest
 
 from tripfit.cli import _parser, main
 from tripfit.config import _SECTIONS, ConfigError, load_config
-from tripfit.library import BUILTIN, read_library
+from tripfit.library import _LIBRARY, _SCHEME, BUILTIN, parse_library, read_library
 from tripfit.sampling import _hints
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -187,6 +190,15 @@ def test_readme_lists_every_settable_field():
         assert re.findall(r"`(\w+)`", listed[0]) == fields, section
 
 
+def test_readme_lists_every_library_key():
+    # README's library bullet names the keys of a library document and of a base
+    # scheme, in the order of the key tables that check them.
+    readme = " ".join((REPO_ROOT / "README.md").read_text().split())
+    listed = re.search(r"A library document may hold only (.*?); a base scheme only (.*?)\.", readme)
+    assert re.findall(r"`(\w+)`", listed[1]) == list(_LIBRARY)
+    assert re.findall(r"`(\w+)`", listed[2]) == list(_SCHEME)
+
+
 def test_config_bad_matrix_targets(tmp_path):
     path = _small_config(tmp_path, uncertainty={"matrix_targets": ["P2", "P99"]})
     with pytest.raises(ConfigError, match="P99"):
@@ -271,6 +283,27 @@ def test_cli_fit_above_gtol_reports_winner_iterations(tmp_path, capsys):
     err = capsys.readouterr().err
     assert (f"the winning start stopped after {doc['iterations']} iterations over 3 stages "
             "(budget 400 iterations per stage)") in err
+
+
+@pytest.mark.parametrize("section, setting", [
+    ("smoothing", {"continuation_schedule": [[1e-300, 1e-300]]}),
+    ("fit", {"gtol": 1e308}),
+], ids=["flat_schedule", "huge_gtol"])
+def test_cli_fit_whose_winner_never_moved_exits_1(tmp_path, capsys, section, setting):
+    # Every start meets gtol where it began: on a flat schedule every sigmoid is
+    # 1/2, so every gradient vanishes, and any gradient is below 1e308.  Such a
+    # fit is not converged; it exited 0 with MAE 0.506 and 0.146 (0.0076 at the
+    # defaults).
+    doc = json.loads(EXAMPLE_CONFIG.read_text())
+    doc[section] = {**doc[section], **setting}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["fit", "--config", str(path), "--motor", "C", "--out", str(tmp_path)]) == 1
+    result = json.loads((tmp_path / "fit_C.json").read_text())
+    assert not result["converged"] and result["iterations"] == 0
+    assert not any(result["diagnostics"]["start_converged"])
+    assert ("warning: fit for C did not converge: its winning start never moved; the winning "
+            "start stopped after 0 iterations") in capsys.readouterr().err
 
 
 def test_cli_fit_every_motor_class(tmp_path):
@@ -395,6 +428,31 @@ def test_cli_refit_sweep_golden_digests(tmp_path, monkeypatch):
     assert _echo_free_digests(tmp_path / "out", runs) == _GOLDEN_REFIT_ARTIFACTS
 
 
+def test_cli_equal_configs_write_equal_bytes(tmp_path, monkeypatch):
+    # A float setting is stored as a float, so whole numbers written as
+    # integers are the same run as the floats: the echo reads 1.0 either way.
+    spelt = {
+        "ints": {"beta_tau": 1, "schedule": [[10, 0.4], [50, 2], [250, 10]], "gamma": 0},
+        "floats": {"beta_tau": 1.0, "schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]],
+                   "gamma": 0.0},
+    }
+    artifacts = {}
+    for name, value in spelt.items():
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        path = _small_config(tmp_path / name, output_dir="out",
+                             sampler={"n_train": 60, "m_eval": 600, "beta_tau": value["beta_tau"]},
+                             smoothing={"continuation_schedule": value["schedule"]},
+                             uncertainty={"gamma_levels": [value["gamma"], 0.4], "trials": 30,
+                                          "m_eval": 300, "matrix_targets": ["P2", "P1-P4-P5"]})
+        argv = ["--config", str(path), "--motor", "mixed_commercial"]
+        for verb in (["fit"], ["grid", "--target", "fitted"], ["mae"], ["sweep"]):
+            assert main([*verb, *argv]) == 0, verb
+        artifacts[name] = {p.name: p.read_bytes() for p in Path("out").iterdir()}
+    assert len(artifacts["floats"]) == 7
+    assert artifacts["ints"] == artifacts["floats"]
+
+
 def test_cli_grid(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
@@ -503,27 +561,57 @@ def _outcome(argv):
             return repr(exc)
 
 
+def _walked(argv, out_dir: Path):
+    """_outcome(argv), where a fit that exits 0 although its winner never iterated is a finding."""
+    out = _outcome(argv)
+    if out == 0 and argv[0] == "fit":
+        motor = argv[argv.index("--motor") + 1]
+        if json.loads((out_dir / f"fit_{motor}.json").read_text())["iterations"] == 0:
+            return "exit 0 after 0 iterations"
+    return out
+
+
+# A cheap config for the edge-value walks: a one-start fit over a one-stage schedule.
+_EDGE_BASE = {"sampler": {"n_train": 20, "m_eval": 200},
+              "smoothing": {"continuation_schedule": [[50.0, 2.0]]},
+              "fit": {"n_starts": 1, "max_iters": 50},
+              "uncertainty": {"gamma_levels": [0.0, 0.4], "trials": 30, "m_eval": 100}}
+
+
 def test_cli_edge_values_exit_cleanly(tmp_path, capsys):
     # Each float of the four sections, one at a time, at the smallest subnormal
-    # and near the largest float, and each integer CLI argument at 10**30: every
-    # verb exits 0, 1 or 2, and nothing escapes as a traceback or a RuntimeWarning.
-    base = {"sampler": {"n_train": 20, "m_eval": 200},
-            "smoothing": {"continuation_schedule": [[50.0, 2.0]]},
-            "fit": {"n_starts": 1, "max_iters": 50},
-            "uncertainty": {"gamma_levels": [0.0, 0.4], "trials": 30, "m_eval": 100}}
+    # and near the largest float, each side of each bound the sections check,
+    # and each integer CLI argument at 10**30: every verb exits 0, 1 or 2, and
+    # nothing escapes as a traceback or a RuntimeWarning.  A fit that exits 0
+    # has iterated.  Every case runs the base's one-stage schedule.
+    base = _EDGE_BASE
     outcomes = {}
 
     def walk(case, verb, path, *extra):
         motor = ["--motor", "C"] * (verb != "validate")
-        outcomes[f"{case} {verb}"] = _outcome([verb, "--config", str(path), *motor, *extra])
+        outcomes[f"{case} {verb}"] = _walked([verb, "--config", str(path), *motor, *extra],
+                                             tmp_path / "out")
+
+    def walk_setting(section, name, new):
+        path = _small_config(tmp_path, **{**base, section: {**base[section], name: new}})
+        for verb in ["validate", "fit"] + ["sweep"] * (section == "uncertainty"):
+            walk(f"{section}.{name}={new}", verb, path)
 
     for section, cls in _SECTIONS.items():
         for name, hint in _hints(cls).items():
             value = base[section].get(name, getattr(cls(), name))
             for new in _with_each_float(hint, value, 5e-324) + _with_each_float(hint, value, 1e308):
-                path = _small_config(tmp_path, **{**base, section: {**base[section], name: new}})
-                for verb in ["validate", "fit"] + ["sweep"] * (section == "uncertainty"):
-                    walk(f"{section}.{name}={new}", verb, path)
+                walk_setting(section, name, new)
+    n_train = base["sampler"]["n_train"]
+    for section, name, new in [
+        ("fit", "n_starts", 0), ("fit", "n_starts", 1), ("fit", "max_iters", 0),
+        ("fit", "max_iters", 1), ("sampler", "n_train", 4), ("sampler", "n_train", 5),
+        ("sampler", "m_eval", 10 * n_train - 1), ("sampler", "m_eval", 10 * n_train),
+        ("sampler", "weight_threshold", 1 - 2**-53), ("uncertainty", "trials", 29),
+        ("uncertainty", "trials", 30), ("uncertainty", "gamma_levels", [0.0, 1 - 2**-53]),
+        ("uncertainty", "gamma_levels", [0.4]), ("uncertainty", "targets", ["P2-P5"]),
+    ]:
+        walk_setting(section, name, new)
     path = _small_config(tmp_path, **base)
     subparsers = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
     for verb, parser in subparsers.choices.items():
@@ -532,6 +620,51 @@ def test_cli_edge_values_exit_cleanly(tmp_path, capsys):
     capsys.readouterr()
     assert {"sampler.beta_v=1e+308 fit", "smoothing.continuation_schedule=[[1e+308, 2.0]] fit",
             "--resolution=10**30 grid"} <= outcomes.keys()
+    assert {"fit.max_iters=0 validate", "uncertainty.targets=['P2-P5'] sweep"} <= outcomes.keys()
+    assert {case: out for case, out in outcomes.items() if out not in (0, 1, 2)} == {}
+
+
+def _library_leaves(doc: dict):
+    """Each numeric position of a library document, as its key path, and the targets it feeds."""
+    library = parse_library(doc)
+    members = {target: {part for name in library.composite(target).names
+                        for part in name.split("-")} for target in library.targets()}
+    for scheme, entry in doc["base_schemes"].items():
+        feeds = [target for target, parts in members.items() if scheme in parts]
+        for i, step in enumerate(entry["steps"]):
+            for j in range(len(step)):
+                yield ("base_schemes", scheme, "steps", i, j), feeds
+    for row in doc["fraction_table"]:
+        for col, motor in enumerate(doc["motor_classes"]):
+            yield ("fraction_table", row, col), [motor]
+    for name, fractions in doc["composites"].items():
+        for scheme in fractions:
+            yield ("composites", name, scheme), [name]
+
+
+def test_cli_library_edge_values_exit_cleanly(tmp_path, capsys):
+    # Each number of the bundled library -- a step's tau or v, a fraction-table
+    # entry, a composite fraction -- one at a time at the smallest subnormal,
+    # near the largest float, at -0.0 and just below 1: validate and a fit of
+    # each target it feeds exit 0, 1 or 2, with no traceback or RuntimeWarning,
+    # and a fit that exits 0 has iterated.
+    library = read_library(BUILTIN)
+    path = _small_config(tmp_path, protection_library="lib.json", **_EDGE_BASE)
+    outcomes = {}
+    for keys, targets in _library_leaves(library):
+        for x in (5e-324, 1e308, -0.0, 1 - 2**-53):
+            doc = copy.deepcopy(library)
+            functools.reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = x
+            (tmp_path / "lib.json").write_text(json.dumps(doc))
+            case = ".".join(map(str, keys)) + f"={x!r}"
+            for verb, target in [("validate", None), *(("fit", target) for target in targets)]:
+                motor = ["--motor", target] if target else []
+                outcomes[f"{case} {verb} {target or ''}".rstrip()] = _walked(
+                    [verb, "--config", str(path), *motor], tmp_path / "out")
+    capsys.readouterr()
+    assert {"base_schemes.P5.steps.0.1=1e+308 fit D",
+            "fraction_table.P2-P5.2=0.9999999999999999 fit C",
+            "composites.mixed_commercial.P1=-0.0 fit mixed_commercial"} <= outcomes.keys()
     assert {case: out for case, out in outcomes.items() if out not in (0, 1, 2)} == {}
 
 
@@ -703,6 +836,20 @@ def test_cli_rejects_config_that_is_not_utf8(tmp_path, capsys):
         f"error: {path}: 'utf-8' codec can't decode byte 0xe9")
 
 
+@pytest.mark.parametrize("document", ["config", "library"])
+def test_cli_rejects_a_document_that_is_not_a_json_object(tmp_path, capsys, document):
+    path = _small_config(tmp_path, protection_library="lib.json")
+    library = tmp_path / "lib.json"
+    library.write_text(json.dumps(read_library(BUILTIN)))
+    assert main(["validate", "--config", str(path)]) == 0
+    (path if document == "config" else library).write_text("[]")
+    capsys.readouterr()
+    assert main(["validate", "--config", str(path)]) == 2
+    what = (f"{path}: top level" if document == "config" else
+            f"{path}: protection_library: {library.resolve()}: library document")
+    assert capsys.readouterr().err == f"error: {what} must be a JSON object, got []\n"
+
+
 _LIST_ENTRY_LIBRARY = {
     "units": {"tau_break": "seconds", "v_threshold": "percent_of_nominal"},
     "base_schemes": {"P1": [[0.1, 50.0]]},
@@ -716,93 +863,187 @@ _TYPED_LIBRARY = {
 
 
 @pytest.mark.parametrize("overrides, library, message", [
-    ({"composites": ["x"]}, None, "config.json: composites must be a JSON object, got ['x']"),
-    ({"composites": "abc"}, None, "config.json: composites must be a JSON object, got 'abc'"),
-    ({"composites": {"demo": ["P1"]}}, None, "composite 'demo' must be a JSON object"),
-    ({}, _LIST_ENTRY_LIBRARY, "base_schemes['P1'] must be a JSON object"),
-    ({"uncertainty": {"matrix_targets": ["P2", ["x"]]}}, None,
-     "uncertainty: matrix_targets entry must be a string, got ['x']"),
-    ({"uncertainty": {"targets": ["P2", ["x"]]}}, None,
-     "uncertainty: targets entry must be a string, got ['x']"),
-    ({"protection_library": 5}, None, "protection_library must be a string"),
-    ({"output_dir": None}, None, "output_dir must be a string"),
-    ({}, {**_TYPED_LIBRARY, "fraction_table": {"P1": 1.0}},
-     "fraction_table['P1'] must be a list, got 1.0"),
-    ({}, {**_TYPED_LIBRARY, "combinations": {"P1-P2": 5}},
-     "combination 'P1-P2' must be a list, got 5"),
-    ({"uncertainty": {"matrix_targets": ["P2", "P2"]}}, None,
-     "uncertainty: matrix_targets must name two different schemes, got ['P2', 'P2']"),
-    ({"uncertainty": {"targets": ["P2", "P1", "P2"]}}, None,
-     "uncertainty: targets must not repeat a scheme, got ['P2', 'P1', 'P2']"),
-    ({"sampler": {"tau_range": [0.0, 5.0]}}, None,
-     "config.json: sampler: unknown field(s) ['tau_range']; known: ['beta_tau', 'beta_v', "
-     "'m_eval', 'n_train', 'weight_threshold']"),
-    ({"sampler": {"v_range": [0.0, 100.0]}}, None,
-     "config.json: sampler: unknown field(s) ['v_range']; known: ['beta_tau', 'beta_v', "
-     "'m_eval', 'n_train', 'weight_threshold']"),
-    ({}, {**_TYPED_LIBRARY, "combinations": {"P1-P1": []}},
-     "lib.json: combination 'P1-P1': need at least one scheme to combine"),
-    ({"fit": {"gtol": float("nan")}}, None, "config.json: NaN is not a finite number"),
-    ({"smoothing": {"continuation_schedule": [[float("inf"), 2.0]]}}, None,
-     "config.json: Infinity is not a finite number"),
-    ({"sampler": {"beta_tau": float("nan")}}, None, "config.json: NaN is not a finite number"),
-    ({}, {**_TYPED_LIBRARY, "base_schemes": {"P1": {"steps": [[0.1, float("-inf")]]}}},
-     "lib.json: -Infinity is not a finite number"),
-    ({"uncertainty": {"gamma_levels": []}}, None, "uncertainty: gamma_levels must not be empty"),
-    ({"uncertainty": {"targets": "P2"}}, None, "uncertainty: targets must be a list, got 'P2'"),
-    ({"fit": {"gtol": True}}, None, "fit: gtol must be a real number, got True"),
-    ({"fit": {"ptol": 1e-12}}, None,
-     "config.json: fit: unknown field(s) ['ptol']; known: ['gtol', 'max_iters', 'n_starts']"),
-    ({"sampler": {"beta_tau": True}}, None, "sampler: beta_tau must be a real number, got True"),
-    ({"sampler": {"beta_v": True}}, None, "sampler: beta_v must be a real number, got True"),
-    ({"sampler": {"weight_threshold": False}}, None,
-     "sampler: weight_threshold must be a real number, got False"),
-    ({"smoothing": {"alpha_tau": 50.0}}, None,
-     "smoothing: unknown field(s) ['alpha_tau']; known: ['continuation_schedule']"),
-    ({"smoothing": {"alpha_v": 2.0}}, None,
-     "smoothing: unknown field(s) ['alpha_v']; known: ['continuation_schedule']"),
-    ({"smoothing": {"continuation_schedule": [[True, 0.4], [50.0, 2.0]]}}, None,
-     "smoothing: continuation_schedule entry must be a real number, got True"),
-    ({"smoothing": {"continuation_schedule": [["10", 0.4]]}}, None,
-     "smoothing: continuation_schedule entry must be a real number, got '10'"),
-    ({"uncertainty": {"gamma_levels": [False, 0.4]}}, None,
-     "uncertainty: gamma_levels entry must be a real number, got False"),
-    ({"uncertainty": {"refit": "no"}}, None, "uncertainty: refit must be a boolean, got 'no'"),
-    ({"uncertainty": {"refit": 1}}, None, "uncertainty: refit must be a boolean, got 1"),
-    ({"smoothing": {"continuation_schedule": [[10.0]]}}, None,
-     "smoothing: continuation_schedule entry must be a pair, got [10.0]"),
-    ({"smoothing": {"continuation_schedule": [5]}}, None,
-     "smoothing: continuation_schedule entry must be a pair, got 5"),
-    ({"smoothing": {"continuation_schedule": "ab"}}, None,
-     "smoothing: continuation_schedule must be a list of pairs, got 'ab'"),
-    ({"smoothing": {"continuation_schedule": {"a": 1}}}, None,
-     "smoothing: continuation_schedule must be a list of pairs, got {'a': 1}"),
-    ({"smoothing": {"continuation_schedule": None}}, None,
-     "smoothing: continuation_schedule must be a list of pairs, got None"),
-    ({"composites": {"x": {"P1": -0.5, "P2": 1.5}}}, None,
-     "config.json: composite 'x': fraction for 'P1' must be >= 0, got -0.5"),
-    ({"composites": {"y": {"P1": 0.5, "P2": 0.4}}}, None,
-     "config.json: composite 'y': fractions must sum to 1 within 1e-09 (got 0.9)"),
-    ({"composites": {"z": {"P9": 1.0}}}, None,
-     "config.json: composite 'z' references unknown scheme 'P9'"),
-    ({"composites": {"A": {"P1": 1.0}}}, None, "config.json: composite 'A' clashes with a motor class"),
-    ({"fit": {"gtol": "1e400"}}, None, "config.json: fit: gtol must be a finite number, got inf"),
-    ({"sampler": {"beta_tau": 10**400}}, None,
-     "config.json: sampler: beta_tau must be a finite number, got 1000"),
-    ({"smoothing": {"continuation_schedule": [[10.0, 0.4], [10**400, 2.0]]}}, None,
-     "config.json: smoothing: continuation_schedule entry must be a finite number, got 1000"),
-    ({}, {**_TYPED_LIBRARY, "fraction_table": {"P1": ["1e400"]}},
-     "lib.json: fraction_table['P1'] entry must be a finite number, got inf"),
-    ({}, {**_TYPED_LIBRARY, "base_schemes": {"P1": {"steps": [["1e400", 50.0]]}}},
-     "lib.json: base_schemes['P1']: steps entry must be a finite number, got inf"),
-    ({"composites": {"x": {"P1": "1e400"}}}, None,
-     "config.json: composite 'x'['P1'] must be a finite number, got inf"),
-    ({}, {**_TYPED_LIBRARY, "base_schemes": {}}, "lib.json: base_schemes must be non-empty"),
-    ({"composites": {"mixed_commercial": {"P1": 1.0}}}, None,
-     "config.json: composites['mixed_commercial'] already defined by the library"),
-    ({}, {**_TYPED_LIBRARY, "composite": {"demo": {"P1": 1.0}}},
-     "lib.json: unknown field(s) ['composite']; known: ['base_schemes', 'combinations', "
-     "'composites', 'description', 'fraction_table', 'motor_classes', 'units']"),
+    pytest.param({"composites": ["x"]}, None,
+                 "config.json: composites must be a JSON object, got ['x']",
+                 id="overrides0-None-config.json: composites must be a JSON object, got ['x']"),
+    pytest.param({"composites": "abc"}, None,
+                 "config.json: composites must be a JSON object, got 'abc'",
+                 id="overrides1-None-config.json: composites must be a JSON object, got 'abc'"),
+    pytest.param({"composites": {"demo": ["P1"]}}, None, "composite 'demo' must be a JSON object",
+                 id="overrides2-None-composite 'demo' must be a JSON object"),
+    pytest.param({}, _LIST_ENTRY_LIBRARY, "base_schemes['P1'] must be a JSON object",
+                 id="overrides3-library3-base_schemes['P1'] must be a JSON object"),
+    pytest.param({"uncertainty": {"matrix_targets": ["P2", ["x"]]}}, None,
+                 "uncertainty: matrix_targets entry must be a string, got ['x']",
+                 id="overrides4-None-uncertainty: matrix_targets entry must be a string, got "
+                    "['x']"),
+    pytest.param({"uncertainty": {"targets": ["P2", ["x"]]}}, None,
+                 "uncertainty: targets entry must be a string, got ['x']",
+                 id="overrides5-None-uncertainty: targets entry must be a string, got ['x']"),
+    pytest.param({"protection_library": 5}, None, "protection_library must be a string",
+                 id="overrides6-None-protection_library must be a string"),
+    pytest.param({"output_dir": None}, None, "output_dir must be a string",
+                 id="overrides7-None-output_dir must be a string"),
+    pytest.param({}, {**_TYPED_LIBRARY, "fraction_table": {"P1": 1.0}},
+                 "fraction_table['P1'] must be a list, got 1.0",
+                 id="overrides8-library8-fraction_table['P1'] must be a list, got 1.0"),
+    pytest.param({}, {**_TYPED_LIBRARY, "combinations": {"P1-P2": 5}},
+                 "combination 'P1-P2' must be a list, got 5",
+                 id="overrides9-library9-combination 'P1-P2' must be a list, got 5"),
+    pytest.param({"uncertainty": {"matrix_targets": ["P2", "P2"]}}, None,
+                 "uncertainty: matrix_targets must name two different schemes, got ['P2', 'P2']",
+                 id="overrides10-None-uncertainty: matrix_targets must name two different "
+                    "schemes, got ['P2', 'P2']"),
+    pytest.param({"uncertainty": {"targets": ["P2", "P1", "P2"]}}, None,
+                 "uncertainty: targets must not repeat a scheme, got ['P2', 'P1', 'P2']",
+                 id="overrides11-None-uncertainty: targets must not repeat a scheme, got ['P2', "
+                    "'P1', 'P2']"),
+    pytest.param({"sampler": {"tau_range": [0.0, 5.0]}}, None,
+                 "config.json: sampler: unknown field(s) ['tau_range']; known: ['beta_tau', "
+                 "'beta_v', 'm_eval', 'n_train', 'weight_threshold']",
+                 id="overrides12-None-config.json: sampler: unknown field(s) ['tau_range']; "
+                    "known: ['beta_tau', 'beta_v', 'm_eval', 'n_train', 'weight_threshold']"),
+    pytest.param({"sampler": {"v_range": [0.0, 100.0]}}, None,
+                 "config.json: sampler: unknown field(s) ['v_range']; known: ['beta_tau', "
+                 "'beta_v', 'm_eval', 'n_train', 'weight_threshold']",
+                 id="overrides13-None-config.json: sampler: unknown field(s) ['v_range']; known: "
+                    "['beta_tau', 'beta_v', 'm_eval', 'n_train', 'weight_threshold']"),
+    pytest.param({}, {**_TYPED_LIBRARY, "combinations": {"P1-P1": []}},
+                 "lib.json: combination 'P1-P1': need at least one scheme to combine",
+                 id="overrides14-library14-lib.json: combination 'P1-P1': need at least one "
+                    "scheme to combine"),
+    pytest.param({"fit": {"gtol": float("nan")}}, None, "config.json: NaN is not a finite number",
+                 id="overrides15-None-config.json: NaN is not a finite number"),
+    pytest.param({"smoothing": {"continuation_schedule": [[float("inf"), 2.0]]}}, None,
+                 "config.json: Infinity is not a finite number",
+                 id="overrides16-None-config.json: Infinity is not a finite number"),
+    pytest.param({"sampler": {"beta_tau": float("nan")}}, None,
+                 "config.json: NaN is not a finite number",
+                 id="overrides17-None-config.json: NaN is not a finite number"),
+    pytest.param({},
+                 {**_TYPED_LIBRARY, "base_schemes": {"P1": {"steps": [[0.1, float("-inf")]]}}},
+                 "lib.json: -Infinity is not a finite number",
+                 id="overrides18-library18-lib.json: -Infinity is not a finite number"),
+    pytest.param({"uncertainty": {"gamma_levels": []}}, None,
+                 "uncertainty: gamma_levels must not be empty",
+                 id="overrides19-None-uncertainty: gamma_levels must not be empty"),
+    pytest.param({"uncertainty": {"targets": "P2"}}, None,
+                 "uncertainty: targets must be a list, got 'P2'",
+                 id="overrides20-None-uncertainty: targets must be a list, got 'P2'"),
+    pytest.param({"fit": {"gtol": True}}, None, "fit: gtol must be a real number, got True",
+                 id="overrides21-None-fit: gtol must be a real number, got True"),
+    pytest.param({"fit": {"ptol": 1e-12}}, None,
+                 "config.json: fit: unknown field(s) ['ptol']; known: ['gtol', 'max_iters', "
+                 "'n_starts']",
+                 id="overrides22-None-config.json: fit: unknown field(s) ['ptol']; known: "
+                    "['gtol', 'max_iters', 'n_starts']"),
+    pytest.param({"sampler": {"beta_tau": True}}, None,
+                 "sampler: beta_tau must be a real number, got True",
+                 id="overrides23-None-sampler: beta_tau must be a real number, got True"),
+    pytest.param({"sampler": {"beta_v": True}}, None,
+                 "sampler: beta_v must be a real number, got True",
+                 id="overrides24-None-sampler: beta_v must be a real number, got True"),
+    pytest.param({"sampler": {"weight_threshold": False}}, None,
+                 "sampler: weight_threshold must be a real number, got False",
+                 id="overrides25-None-sampler: weight_threshold must be a real number, got False"),
+    pytest.param({"smoothing": {"alpha_tau": 50.0}}, None,
+                 "smoothing: unknown field(s) ['alpha_tau']; known: ['continuation_schedule']",
+                 id="overrides26-None-smoothing: unknown field(s) ['alpha_tau']; known: "
+                    "['continuation_schedule']"),
+    pytest.param({"smoothing": {"alpha_v": 2.0}}, None,
+                 "smoothing: unknown field(s) ['alpha_v']; known: ['continuation_schedule']",
+                 id="overrides27-None-smoothing: unknown field(s) ['alpha_v']; known: "
+                    "['continuation_schedule']"),
+    pytest.param({"smoothing": {"continuation_schedule": [[True, 0.4], [50.0, 2.0]]}}, None,
+                 "smoothing: continuation_schedule entry must be a real number, got True",
+                 id="overrides28-None-smoothing: continuation_schedule entry must be a real "
+                    "number, got True"),
+    pytest.param({"smoothing": {"continuation_schedule": [["10", 0.4]]}}, None,
+                 "smoothing: continuation_schedule entry must be a real number, got '10'",
+                 id="overrides29-None-smoothing: continuation_schedule entry must be a real "
+                    "number, got '10'"),
+    pytest.param({"uncertainty": {"gamma_levels": [False, 0.4]}}, None,
+                 "uncertainty: gamma_levels entry must be a real number, got False",
+                 id="overrides30-None-uncertainty: gamma_levels entry must be a real number, got "
+                    "False"),
+    pytest.param({"uncertainty": {"refit": "no"}}, None,
+                 "uncertainty: refit must be a boolean, got 'no'",
+                 id="overrides31-None-uncertainty: refit must be a boolean, got 'no'"),
+    pytest.param({"uncertainty": {"refit": 1}}, None,
+                 "uncertainty: refit must be a boolean, got 1",
+                 id="overrides32-None-uncertainty: refit must be a boolean, got 1"),
+    pytest.param({"smoothing": {"continuation_schedule": [[10.0]]}}, None,
+                 "smoothing: continuation_schedule entry must be a pair, got [10.0]",
+                 id="overrides33-None-smoothing: continuation_schedule entry must be a pair, got "
+                    "[10.0]"),
+    pytest.param({"smoothing": {"continuation_schedule": [5]}}, None,
+                 "smoothing: continuation_schedule entry must be a pair, got 5",
+                 id="overrides34-None-smoothing: continuation_schedule entry must be a pair, got "
+                    "5"),
+    pytest.param({"smoothing": {"continuation_schedule": "ab"}}, None,
+                 "smoothing: continuation_schedule must be a list of pairs, got 'ab'",
+                 id="overrides35-None-smoothing: continuation_schedule must be a list of pairs, "
+                    "got 'ab'"),
+    pytest.param({"smoothing": {"continuation_schedule": {"a": 1}}}, None,
+                 "smoothing: continuation_schedule must be a list of pairs, got {'a': 1}",
+                 id="overrides36-None-smoothing: continuation_schedule must be a list of pairs, "
+                    "got {'a': 1}"),
+    pytest.param({"smoothing": {"continuation_schedule": None}}, None,
+                 "smoothing: continuation_schedule must be a list of pairs, got None",
+                 id="overrides37-None-smoothing: continuation_schedule must be a list of pairs, "
+                    "got None"),
+    pytest.param({"composites": {"x": {"P1": -0.5, "P2": 1.5}}}, None,
+                 "config.json: composite 'x': fraction for 'P1' must be >= 0, got -0.5",
+                 id="overrides38-None-config.json: composite 'x': fraction for 'P1' must be >= "
+                    "0, got -0.5"),
+    pytest.param({"composites": {"y": {"P1": 0.5, "P2": 0.4}}}, None,
+                 "config.json: composite 'y': fractions must sum to 1 within 1e-09 (got 0.9)",
+                 id="overrides39-None-config.json: composite 'y': fractions must sum to 1 within "
+                    "1e-09 (got 0.9)"),
+    pytest.param({"composites": {"z": {"P9": 1.0}}}, None,
+                 "config.json: composite 'z' references unknown scheme 'P9'",
+                 id="overrides40-None-config.json: composite 'z' references unknown scheme 'P9'"),
+    pytest.param({"composites": {"A": {"P1": 1.0}}}, None,
+                 "config.json: composite 'A' clashes with a motor class",
+                 id="overrides41-None-config.json: composite 'A' clashes with a motor class"),
+    pytest.param({"fit": {"gtol": "1e400"}}, None,
+                 "config.json: fit: gtol must be a finite number, got inf",
+                 id="overrides42-None-config.json: fit: gtol must be a finite number, got inf"),
+    pytest.param({"sampler": {"beta_tau": 10**400}}, None,
+                 "config.json: sampler: beta_tau must be a finite number, got 1000",
+                 id="overrides43-None-config.json: sampler: beta_tau must be a finite number, "
+                    "got 1000"),
+    pytest.param({"smoothing": {"continuation_schedule": [[10.0, 0.4], [10**400, 2.0]]}}, None,
+                 "config.json: smoothing: continuation_schedule entry must be a finite number, "
+                 "got 1000",
+                 id="overrides44-None-config.json: smoothing: continuation_schedule entry must "
+                    "be a finite number, got 1000"),
+    pytest.param({}, {**_TYPED_LIBRARY, "fraction_table": {"P1": ["1e400"]}},
+                 "lib.json: fraction_table['P1'] entry must be a finite number, got inf",
+                 id="overrides45-library45-lib.json: fraction_table['P1'] entry must be a finite "
+                    "number, got inf"),
+    pytest.param({}, {**_TYPED_LIBRARY, "base_schemes": {"P1": {"steps": [["1e400", 50.0]]}}},
+                 "lib.json: base_schemes['P1']: steps entry must be a finite number, got inf",
+                 id="overrides46-library46-lib.json: base_schemes['P1']: steps entry must be a "
+                    "finite number, got inf"),
+    pytest.param({"composites": {"x": {"P1": "1e400"}}}, None,
+                 "config.json: composite 'x'['P1'] must be a finite number, got inf",
+                 id="overrides47-None-config.json: composite 'x'['P1'] must be a finite number, "
+                    "got inf"),
+    pytest.param({}, {**_TYPED_LIBRARY, "base_schemes": {}},
+                 "lib.json: base_schemes must be non-empty",
+                 id="overrides48-library48-lib.json: base_schemes must be non-empty"),
+    pytest.param({"composites": {"mixed_commercial": {"P1": 1.0}}}, None,
+                 "config.json: composites['mixed_commercial'] already defined by the library",
+                 id="overrides49-None-config.json: composites['mixed_commercial'] already "
+                    "defined by the library"),
+    pytest.param({}, {**_TYPED_LIBRARY, "composite": {"demo": {"P1": 1.0}}},
+                 "lib.json: unknown field(s) ['composite']; known: ['base_schemes', "
+                 "'combinations', 'composites', 'description', 'fraction_table', "
+                 "'motor_classes', 'units']",
+                 id="overrides50-library50-lib.json: unknown field(s) ['composite']; known: "
+                    "['base_schemes', 'combinations', 'composites', 'description', "
+                    "'fraction_table', 'motor_classes', 'units']"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
     # A quoted "1e400" stands for the bare literal, which json.dumps cannot write.

@@ -202,6 +202,27 @@ def test_sweep_counts_non_converged_refits(fitted_pair):
     assert [stats.not_converged for stats in report.levels] == [30, 30]
 
 
+def test_sweep_counts_refits_that_never_moved(fitted_pair, monkeypatch):
+    # With one start and one iteration, one of the 60 refits stops where it
+    # began, at cost 0.113 (a 20-start fit of its data reaches 0.0026): it is
+    # not converged, so its level counts it with the 59 that stopped above gtol.
+    comp, model = fitted_pair
+    refits = []
+
+    def capture(*args):
+        refits.append(fit(*args))
+        return refits[-1]
+
+    monkeypatch.setattr(tripfit.evaluation, "fit", capture)
+    spec = UncertaintySpec(gamma_levels=(0.0, 0.4), trials=30, seed=3, m_eval=300, refit=True)
+    report = uncertainty_sweep(comp, model, spec,
+                               sampler=SamplerConfig(weight_threshold=0.0, n_train=40, m_eval=400),
+                               smoothing=SmoothingConfig(continuation_schedule=((25.0, 1.0),)),
+                               fit_config=FitConfig(n_starts=1, max_iters=1))
+    assert [r.iterations for r in refits].count(0) == 1
+    assert [stats.not_converged for stats in report.levels] == [30, 30]
+
+
 def _rebuilt_trial_mae(comp, model, spec, stream, cell, t, targets, refit=None):
     """One trial scored by rebuilding its perturbed composite and evaluating it."""
     tau, v = lhs_box(rng_stream(spec.seed, "sweep_eval"), spec.m_eval)

@@ -1,3 +1,5 @@
+import functools
+import operator
 import re
 
 import numpy as np
@@ -93,33 +95,68 @@ def test_parse_rejects_bad_composite_sum():
 
 
 @pytest.mark.parametrize("section, key, value, message", [
-    ("fraction_table", "P1", 1.0, "fraction_table['P1'] must be a list, got 1.0"),
-    ("fraction_table", "P1", [None], "fraction_table['P1'] entry must be a real number, got None"),
-    ("combinations", "P1-P2", 5, "combination 'P1-P2' must be a list, got 5"),
-    ("combinations", "P1-P2", [["P1"], "P2"],
-     "combination 'P1-P2' entry must be a string, got ['P1']"),
-    ("base_schemes", "P2", {"steps": [[None, 60.0]]},
-     "<memory>: base_schemes['P2']: steps entry must be a real number, got None"),
-    ("composites", "demo", {"P1": None}, "composite 'demo'['P1'] must be a real number, got None"),
-    ("fraction_table", "P1", [-0.1],
-     "<memory>: motor 'A': fraction for 'P1' must be >= 0, got -0.1"),
-    ("composites", "demo", {"P1": -0.5, "P1-P2": 1.5},
-     "<memory>: composite 'demo': fraction for 'P1' must be >= 0, got -0.5"),
-    ("composites", "demo", {"P1": 1.5, "P1-P2": -0.5},
-     "<memory>: composite 'demo': fraction for 'P1' must be <= 1, got 1.5"),
-    ("base_schemes", "", {"steps": [[0.1, 50.0]]},
-     "<memory>: base_schemes['']: scheme name must be non-empty"),
-    ("composites", "demo", {"P1": 10**400},
-     "<memory>: composite 'demo'['P1'] must be a finite number, got 1000"),
-    ("base_schemes", "P2", {"step": [[0.2, 60.0]]},
-     "<memory>: base_schemes['P2']: unknown field(s) ['step']; known: ['label', 'steps']"),
-    ("base_schemes", "P2", {"label": "relay"},
-     "<memory>: base_schemes['P2']: missing field 'steps' ([] is a zone that never trips)"),
-    ("combinations", "P1", ["P1"], "<memory>: combination 'P1' clashes with a base scheme"),
-    ("fraction_table", "P1", [0.4, 0.6],
-     "<memory>: fraction_table['P1'] must have one value per motor class (1), got 2"),
-    ("fraction_table", "P1", [float("inf")],
-     "<memory>: fraction_table['P1'] entry must be a finite number, got inf"),
+    pytest.param("fraction_table", "P1", 1.0, "fraction_table['P1'] must be a list, got 1.0",
+                 id="fraction_table-P1-1.0-fraction_table['P1'] must be a list, got 1.0"),
+    pytest.param("fraction_table", "P1", [None],
+                 "fraction_table['P1'] entry must be a real number, got None",
+                 id="fraction_table-P1-value1-fraction_table['P1'] entry must be a real number, "
+                    "got None"),
+    pytest.param("combinations", "P1-P2", 5, "combination 'P1-P2' must be a list, got 5",
+                 id="combinations-P1-P2-5-combination 'P1-P2' must be a list, got 5"),
+    pytest.param("combinations", "P1-P2", [["P1"], "P2"],
+                 "combination 'P1-P2' entry must be a string, got ['P1']",
+                 id="combinations-P1-P2-value3-combination 'P1-P2' entry must be a string, got "
+                    "['P1']"),
+    pytest.param("base_schemes", "P2", {"steps": [[None, 60.0]]},
+                 "<memory>: base_schemes['P2']: steps entry must be a real number, got None",
+                 id="base_schemes-P2-value4-<memory>: base_schemes['P2']: steps entry must be a "
+                    "real number, got None"),
+    pytest.param("composites", "demo", {"P1": None},
+                 "composite 'demo'['P1'] must be a real number, got None",
+                 id="composites-demo-value5-composite 'demo'['P1'] must be a real number, got "
+                    "None"),
+    pytest.param("fraction_table", "P1", [-0.1],
+                 "<memory>: motor 'A': fraction for 'P1' must be >= 0, got -0.1",
+                 id="fraction_table-P1-value6-<memory>: motor 'A': fraction for 'P1' must be >= "
+                    "0, got -0.1"),
+    pytest.param("composites", "demo", {"P1": -0.5, "P1-P2": 1.5},
+                 "<memory>: composite 'demo': fraction for 'P1' must be >= 0, got -0.5",
+                 id="composites-demo-value7-<memory>: composite 'demo': fraction for 'P1' must "
+                    "be >= 0, got -0.5"),
+    pytest.param("composites", "demo", {"P1": 1.5, "P1-P2": -0.5},
+                 "<memory>: composite 'demo': fraction for 'P1' must be <= 1, got 1.5",
+                 id="composites-demo-value8-<memory>: composite 'demo': fraction for 'P1' must "
+                    "be <= 1, got 1.5"),
+    pytest.param("base_schemes", "", {"steps": [[0.1, 50.0]]},
+                 "<memory>: base_schemes['']: scheme name must be non-empty",
+                 id="base_schemes--value9-<memory>: base_schemes['']: scheme name must be "
+                    "non-empty"),
+    pytest.param("composites", "demo", {"P1": 10**400},
+                 "<memory>: composite 'demo'['P1'] must be a finite number, got 1000",
+                 id="composites-demo-value10-<memory>: composite 'demo'['P1'] must be a finite "
+                    "number, got 1000"),
+    pytest.param("base_schemes", "P2", {"step": [[0.2, 60.0]]},
+                 "<memory>: base_schemes['P2']: unknown field(s) ['step']; known: ['label', "
+                 "'steps']",
+                 id="base_schemes-P2-value11-<memory>: base_schemes['P2']: unknown field(s) "
+                    "['step']; known: ['label', 'steps']"),
+    pytest.param("base_schemes", "P2", {"label": "relay"},
+                 "<memory>: base_schemes['P2']: missing field 'steps' ([] is a zone that never "
+                 "trips)",
+                 id="base_schemes-P2-value12-<memory>: base_schemes['P2']: missing field 'steps' "
+                    "([] is a zone that never trips)"),
+    pytest.param("combinations", "P1", ["P1"],
+                 "<memory>: combination 'P1' clashes with a base scheme",
+                 id="combinations-P1-value13-<memory>: combination 'P1' clashes with a base "
+                    "scheme"),
+    pytest.param("fraction_table", "P1", [0.4, 0.6],
+                 "<memory>: fraction_table['P1'] must have one value per motor class (1), got 2",
+                 id="fraction_table-P1-value14-<memory>: fraction_table['P1'] must have one "
+                    "value per motor class (1), got 2"),
+    pytest.param("fraction_table", "P1", [float("inf")],
+                 "<memory>: fraction_table['P1'] entry must be a finite number, got inf",
+                 id="fraction_table-P1-value15-<memory>: fraction_table['P1'] entry must be a "
+                    "finite number, got inf"),
 ])
 def test_parse_rejects_mistyped_values(section, key, value, message):
     doc = _base_doc()
@@ -127,6 +164,19 @@ def test_parse_rejects_mistyped_values(section, key, value, message):
     with pytest.raises(ValueError) as info:
         parse_library(doc)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("keys, message", [
+    (("description",), "<memory>: description must be a string, got 5"),
+    (("base_schemes", "P1", "label"), "<memory>: base_schemes['P1']: label must be a string, got 5"),
+], ids=["description", "label"])
+def test_parse_rejects_free_text_that_is_not_a_string(keys, message):
+    doc = _base_doc()
+    doc["base_schemes"]["P1"]["label"] = "relay"
+    parse_library({**doc, "description": "two schemes"})
+    functools.reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = 5
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_library(doc)
 
 
 @pytest.mark.parametrize("value, message", [

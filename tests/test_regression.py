@@ -499,7 +499,7 @@ def _per_start_minimize_fit(d, s, f, maxfun=15000):
             u = np.clip(res.x, 0.0, 1.0)
             total_it += int(res.nit)
         fval, g = fun_grad(u, *stages[-1])
-        converged = float(np.abs(u - np.clip(u - g, 0.0, 1.0)).max()) <= f.gtol
+        converged = float(np.abs(u - np.clip(u - g, 0.0, 1.0)).max()) <= f.gtol and total_it > 0
         start_costs.append(fval)
         start_iters.append(total_it)
         start_conv.append(converged)
@@ -763,6 +763,19 @@ def test_fit_result_invariants():
     assert 0.0 <= m.tau1_star <= 5.0 and 0.0 <= m.v1_star <= 100.0
     assert (m.tau1_star, -m.v1_star) <= (m.tau2_star, -m.v2_star)
     assert result.final_cost <= min(result.diagnostics["start_costs"]) + 1e-15
+
+
+@pytest.mark.parametrize("s, f", [
+    (SmoothingConfig(continuation_schedule=((1e-300, 1e-300),)), FitConfig(n_starts=4, seed=2)),
+    (SmoothingConfig(), FitConfig(n_starts=4, gtol=1e308, seed=2)),
+], ids=["flat_schedule", "huge_gtol"])
+def test_fit_start_that_never_moved_is_not_converged(s, f):
+    # Each start meets gtol where it began: every sigmoid is 1/2 on a flat
+    # schedule, so every gradient vanishes, and any gradient is below 1e308.
+    result = fit(_dataset_from_hard(RECOVERY_TRUTH, n=100, seed=2), s, f)
+    assert result.diagnostics["start_iterations"] == [0] * 4
+    assert result.diagnostics["start_converged"] == [False] * 4
+    assert not result.converged and result.iterations == 0
 
 
 def test_fit_deterministic():

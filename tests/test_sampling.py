@@ -145,21 +145,25 @@ def test_checked_refuses_a_wrong_json_object(hint, value, error, message):
 def test_checked_keeps_json_objects_and_numbers_up_to_the_largest_float():
     raw = {"a": [1, 2.5], "b": []}
     assert _checked(dict, raw, "x") is raw
-    assert _checked(dict[str, tuple[float, ...]], raw, "x") == {"a": (1, 2.5), "b": ()}
+    checked = _checked(dict[str, tuple[float, ...]], raw, "x")
+    assert checked == {"a": (1.0, 2.5), "b": ()} and type(checked["a"][0]) is float
     big = 2**1024 - 2**971  # the largest float, written as an integer
     assert float(big) == sys.float_info.max
     for value in (big, -big, float(big)):
-        assert _checked(float, value, "x") is value
+        assert type(_checked(float, value, "x")) is float
+        assert _checked(float, value, "x") == float(value)
     for value in (big + 1, -big - 1):
         with pytest.raises(ValueError, match=f"x must be a finite number, got {value}$"):
             _checked(float, value, "x")
 
 
-def test_check_fields_keeps_numbers_as_written_and_lists_as_tuples():
+def test_check_fields_makes_float_settings_floats_and_lists_tuples():
     from_json = _EachKind(reals=[1, 2.5], pair=["a", "b"], maybe=[0, 1], pairs=[[1, 2.0]])
-    assert from_json == _EachKind(reals=(1, 2.5), maybe=(0, 1), pairs=((1, 2.0),))
-    assert type(from_json.maybe) is tuple and type(from_json.pairs[0][0]) is int
-    assert hash(from_json) == hash(_EachKind(reals=(1, 2.5), maybe=(0, 1), pairs=((1, 2.0),)))
+    assert from_json == _EachKind(reals=(1.0, 2.5), maybe=(0.0, 1.0), pairs=((1.0, 2.0),))
+    assert type(from_json.maybe) is tuple and type(from_json.pairs[0][0]) is float
+    assert hash(from_json) == hash(_EachKind(reals=(1.0, 2.5), maybe=(0.0, 1.0),
+                                             pairs=((1.0, 2.0),)))
+    assert type(_EachKind(real=1).real) is float and type(_EachKind(count=3).count) is int
 
 
 # ---------------------------------------------------------- sample_training
