@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Full accuracy/uncertainty study on the bundled mixed-protection composite.
 
-Fits the two-block model to the `mixed_commercial` composite, emits heatmap
-grids for the true and fitted protection functions, the per-level MAE sweep
-(long + summary CSV) and the two-scheme level-pair matrix.  All outputs are
-plot-ready CSV under --out.
+Fits the two-block model to the `mixed_commercial` composite (its MAE is in
+fit_mixed_commercial.json), emits heatmap grids for the true and fitted
+protection functions, the per-level MAE sweep (long + summary CSV) and the
+two-scheme level-pair matrix.  All outputs are plot-ready CSV or JSON under
+--out.
 
 Usage:
     python scripts/uncertainty_study.py [--out out_uncertainty] [--seed N]
@@ -37,7 +38,6 @@ def run(argv=None):
         ["fit", *common],
         ["grid", *common, "--target", "true", "--resolution", str(args.resolution)],
         ["grid", *common, "--target", "fitted", "--resolution", str(args.resolution)],
-        ["mae", *common],
         ["sweep", *common],
     ]
     for step in steps:

@@ -1,10 +1,11 @@
-"""Command line entry points: validate, fit, grid, mae, sweep.
+"""Command line entry points: validate, fit, grid, sweep.
 
 Each verb reads one JSON project config and writes its artifacts (CSV and
-JSON, plot-ready) under the configured output directory.  Every output file
-embeds the materialized config and seed, so reruns at a fixed seed reproduce
-files byte for byte.  Exit codes: 0 success, 1 fit did not converge,
-2 configuration, input, output or usage error.
+JSON, plot-ready) under the configured output directory; a fit's MAE is
+written once, to fit_<target>.json.  Every output file embeds the
+materialized config and seed, so reruns at a fixed seed reproduce files byte
+for byte.  Exit codes: 0 success, 1 fit did not converge, 2 configuration,
+input, output or usage error, or memory exhausted.
 """
 
 from __future__ import annotations
@@ -166,24 +167,6 @@ def cmd_grid(cfg: ProjectConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_mae(cfg: ProjectConfig, args: argparse.Namespace) -> int:
-    target = args.motor
-    comp = cfg.composite_for(target)
-    model = _load_fitted_model(cfg, target, comp)
-    report = mae(harden(model), comp, cfg.sampler.m_eval, cfg.seed)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(cfg.output_dir / f"mae_{target}.json", {
-        "kind": "mae_report",
-        "target": target,
-        "epsilon": report.epsilon,
-        "m_points": report.m_points,
-        "seed": cfg.seed,
-        "config": cfg.echo,
-    })
-    print(f"mae {target}: epsilon={report.epsilon:.4f} over {report.m_points} points")
-    return 0
-
-
 def cmd_sweep(cfg: ProjectConfig, args: argparse.Namespace) -> int:
     target = args.motor
     comp = cfg.composite_for(target)
@@ -242,7 +225,6 @@ def _parser() -> argparse.ArgumentParser:
                       help="evaluate the true composite or the fitted model")
     grid.add_argument("--resolution", type=int, default=DEFAULT_GRID_RESOLUTION,
                       help="grid points per axis")
-    add("mae", cmd_mae, "recompute the MAE report for an existing fit")
     add("sweep", cmd_sweep, "Monte Carlo MAE sweep over load-fraction uncertainty levels")
     return parser
 
@@ -254,6 +236,11 @@ def main(argv=None) -> int:
         return args.run(cfg, args)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: tripfit {args.command} ran out of memory; lower the settings that size "
+              "its arrays: sampler.n_train, sampler.m_eval, uncertainty.trials, "
+              "uncertainty.m_eval or --resolution", file=sys.stderr)
         return 2
 
 

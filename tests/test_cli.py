@@ -18,9 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tripfit import cli
 from tripfit.cli import _parser, main
 from tripfit.config import _SECTIONS, ConfigError, load_config
+from tripfit.evaluation import mae
 from tripfit.library import _LIBRARY, _SCHEME, BUILTIN, parse_library, read_library
+from tripfit.regression import harden, model_from_jsonable
 from tripfit.sampling import _hints
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -314,6 +317,20 @@ def test_cli_fit_every_motor_class(tmp_path):
     assert produced == ["fit_A.json", "fit_B.json", "fit_C.json", "fit_D.json"]
 
 
+def test_cli_fit_mae_is_rederived_from_written_model(tmp_path):
+    # fit_<motor>.json is the one writer of a fit's MAE: its model, scored on the
+    # points that its mae_m_points and seed name, gives the written value bit for bit.
+    path = _small_config(tmp_path)
+    cfg = load_config(path)
+    for motor in [*"ABCD", "mixed_commercial"]:
+        assert main(["fit", "--config", str(path), "--motor", motor]) == 0
+        doc = json.loads((tmp_path / "out" / f"fit_{motor}.json").read_text())
+        assert doc["mae_m_points"] == cfg.sampler.m_eval and doc["seed"] == cfg.seed
+        model = harden(model_from_jsonable(doc["model"]))
+        report = mae(model, cfg.composite_for(motor), doc["mae_m_points"], doc["seed"])
+        assert report.epsilon == doc["mae"], motor
+
+
 def _cut_echo(path: Path) -> tuple[bytes, str]:
     """The file's bytes without its config echo, and the echo as the file carries it.
 
@@ -365,7 +382,6 @@ _GOLDEN_ARTIFACTS = {
     "fit_mixed_commercial.json": "e85a1d9eb4c55683b7b32dffb100b9213e41c3856511d663fe6d108db7c65843",
     "grid_mixed_commercial_fitted.csv": "19c400dccfd2c5c82f0a90abbfde1f233c8b58ccdadd18ddfb29945c4c0c0847",
     "grid_mixed_commercial_true.csv": "e2fdbe1f814d88e82fc9d50473aeb657e0df519500a13b38f08388e988acd43e",
-    "mae_mixed_commercial.json": "26ef3581c9d72d909921272eff43289ff1953db421e4023fb74b87b347c62fe8",
     "sweep_mixed_commercial_long.csv": "5223e75ec17539c59ef2584b4bd11537c75102c3ef45ee2c77014a339860df75",
     "sweep_mixed_commercial_matrix.csv": "c9a78f0dfeac5da875504429f7dfd6b550de8d02add057008bdd1336155a1a1b",
     "sweep_mixed_commercial_summary.csv": "553a823f3f6c225889415242634e984b05134d9cad089b02c42d6d7de0e4769e",
@@ -382,8 +398,7 @@ def test_cli_artifact_golden_digests(tmp_path, monkeypatch):
     base = ["--config", str(EXAMPLE_CONFIG), "--out", "out"]
     target = ["--motor", "mixed_commercial"]
     runs = [["fit", *base, *target], ["grid", *base, *target, "--target", "true"],
-            ["grid", *base, *target, "--target", "fitted"], ["mae", *base, *target],
-            ["sweep", *base, *target]]
+            ["grid", *base, *target, "--target", "fitted"], ["sweep", *base, *target]]
     runs += [["fit", *base, "--motor", motor, "--seed", "7"] for motor in "ABCD"]
     assert _echo_free_digests(tmp_path / "out", runs) == _GOLDEN_ARTIFACTS
 
@@ -446,10 +461,13 @@ def test_cli_equal_configs_write_equal_bytes(tmp_path, monkeypatch):
                              uncertainty={"gamma_levels": [value["gamma"], 0.4], "trials": 30,
                                           "m_eval": 300, "matrix_targets": ["P2", "P1-P4-P5"]})
         argv = ["--config", str(path), "--motor", "mixed_commercial"]
-        for verb in (["fit"], ["grid", "--target", "fitted"], ["mae"], ["sweep"]):
+        for verb in (["fit"], ["grid", "--target", "fitted"], ["sweep"]):
             assert main([*verb, *argv]) == 0, verb
         artifacts[name] = {p.name: p.read_bytes() for p in Path("out").iterdir()}
-    assert len(artifacts["floats"]) == 7
+    target = "mixed_commercial"
+    assert sorted(artifacts["floats"]) == sorted([
+        f"fit_{target}.json", f"train_{target}.csv", f"grid_{target}_fitted.csv",
+        f"sweep_{target}_long.csv", f"sweep_{target}_summary.csv", f"sweep_{target}_matrix.csv"])
     assert artifacts["ints"] == artifacts["floats"]
 
 
@@ -668,14 +686,10 @@ def test_cli_library_edge_values_exit_cleanly(tmp_path, capsys):
     assert {case: out for case, out in outcomes.items() if out not in (0, 1, 2)} == {}
 
 
-def test_cli_mae_and_sweep(tmp_path, capsys):
+def test_cli_sweep(tmp_path, capsys):
     path = _small_config(tmp_path)
     assert main(["fit", "--config", str(path), "--motor", "mixed_commercial"]) == 0
-    assert main(["mae", "--config", str(path), "--motor", "mixed_commercial"]) == 0
     out_dir = tmp_path / "out"
-    mae_doc = json.loads((out_dir / "mae_mixed_commercial.json").read_text())
-    assert 0.0 <= mae_doc["epsilon"] <= 1.0 and mae_doc["m_points"] == 600
-
     assert main(["sweep", "--config", str(path), "--motor", "mixed_commercial"]) == 0
     long_csv = out_dir / "sweep_mixed_commercial_long.csv"
     summary_csv = out_dir / "sweep_mixed_commercial_summary.csv"
@@ -703,7 +717,8 @@ def test_cli_rejects_fit_from_other_seed_or_setup(tmp_path, capsys):
     assert not (tmp_path / "out" / "sweep_C_long.csv").exists()
 
     other_fit = _small_config(tmp_path, fit={"n_starts": 4, "max_iters": 150, "gtol": 1e-6})
-    assert main(["mae", "--config", str(other_fit), "--motor", "C"]) == 2
+    assert main(["grid", "--config", str(other_fit), "--motor", "C",
+                 "--target", "fitted", "--resolution", "2"]) == 2
     assert "different fit.gtol" in capsys.readouterr().err
     other_sampler = _small_config(tmp_path, sampler={"n_train": 59, "m_eval": 600})
     assert main(["grid", "--config", str(other_sampler), "--motor", "C",
@@ -715,21 +730,24 @@ def test_cli_rejects_fit_from_other_seed_or_setup(tmp_path, capsys):
                                                     "m_eval": 300})
     assert main(["sweep", "--config", str(same_fit), "--motor", "C"]) == 0
     path = _small_config(tmp_path)
-    assert main(["mae", "--config", str(path), "--motor", "C"]) == 0
+    assert main(["grid", "--config", str(path), "--motor", "C",
+                 "--target", "fitted", "--resolution", "2"]) == 0
 
     # Nor are other composites, or the library's path: the fit records its own composite.
     extra = _small_config(tmp_path, composites={"extra": {"P1": 1.0}})
-    assert main(["mae", "--config", str(extra), "--motor", "C"]) == 0
+    assert main(["grid", "--config", str(extra), "--motor", "C",
+                 "--target", "fitted", "--resolution", "2"]) == 0
     library = read_library(BUILTIN)
     (tmp_path / "lib.json").write_text(json.dumps(library))
     moved = _small_config(tmp_path, protection_library="lib.json")
-    assert main(["mae", "--config", str(moved), "--motor", "C"]) == 0
+    assert main(["grid", "--config", str(moved), "--motor", "C",
+                 "--target", "fitted", "--resolution", "2"]) == 0
     # But a step of P2, a member of C's one scheme P2-P5, is.
     library["base_schemes"]["P2"]["steps"][0][1] += 5.0
     (tmp_path / "lib.json").write_text(json.dumps(library))
     capsys.readouterr()
-    for verb in ("mae", "sweep"):
-        assert main([verb, "--config", str(moved), "--motor", "C"]) == 2
+    for verb in (["grid", "--target", "fitted", "--resolution", "2"], ["sweep"]):
+        assert main([*verb, "--config", str(moved), "--motor", "C"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {tmp_path / 'out' / 'fit_C.json'} was fitted to a "
                               "different composite C; rerun `tripfit fit --motor C`"), err
@@ -749,7 +767,7 @@ def test_cli_rejects_fit_echoing_removed_field(tmp_path, capsys, section, stale)
     doc["config"][section] |= stale
     fit_path.write_text(json.dumps(doc))
     capsys.readouterr()
-    for verb in (["grid", "--target", "fitted"], ["mae"], ["sweep"]):
+    for verb in (["grid", "--target", "fitted"], ["sweep"]):
         assert main([*verb, "--config", str(path), "--motor", "C"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {fit_path} was fitted under a different "
@@ -788,6 +806,37 @@ def test_cli_unwritable_output_exit_code(tmp_path, capsys):
     assert err.startswith("error: ") and str(out) in err
 
 
+@pytest.mark.parametrize("verb, name", [
+    ("fit", "sample_training"), ("grid", "grid_evaluate"), ("sweep", "uncertainty_sweep"),
+])
+def test_cli_out_of_memory_exits_2(tmp_path, capsys, monkeypatch, verb, name):
+    # An accepted count can still be too large to allocate, such as sampler.n_train
+    # 10**12: the MemoryError ended in a traceback with exit 1, the code for a fit
+    # that did not converge.  Raised here by a stand-in, never by allocating.
+    path = _small_config(tmp_path)
+    assert main(["fit", "--config", str(path), "--motor", "C"]) == 0
+    capsys.readouterr()
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, name, out_of_memory)
+    assert main([verb, "--config", str(path), "--motor", "C"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: tripfit {verb} ran out of memory; lower the settings that size its arrays: "
+        "sampler.n_train, sampler.m_eval, uncertainty.trials, uncertainty.m_eval or "
+        "--resolution\n")
+
+
+def test_cli_has_no_mae_verb(tmp_path, capsys):
+    # A fit's MAE is written once, to fit_<motor>.json; no verb recomputes it.
+    with pytest.raises(SystemExit) as exc:
+        main(["mae", "--config", str(_small_config(tmp_path)), "--motor", "C"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'mae'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda raw: raw[:len(raw) // 2], "is not valid JSON"),
     (lambda raw: b"[]", "is not a fit result with a config object"),
@@ -810,7 +859,7 @@ def test_cli_rejects_malformed_fit_result(tmp_path, capsys, corrupt, message):
     fit_path = tmp_path / "out" / "fit_C.json"
     fit_path.write_bytes(corrupt(fit_path.read_bytes()))
     capsys.readouterr()
-    for verb in (["grid", "--target", "fitted", "--resolution", "2"], ["mae"], ["sweep"]):
+    for verb in (["grid", "--target", "fitted", "--resolution", "2"], ["sweep"]):
         assert main(verb + ["--config", str(path), "--motor", "C"]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {fit_path} ") and message in err, (verb, err)
@@ -1086,7 +1135,7 @@ def test_uncertainty_study_writes_every_artifact(tmp_path, capsys):
     target = "mixed_commercial"
     assert sorted(p.name for p in out.iterdir()) == sorted([
         f"fit_{target}.json", f"train_{target}.csv", f"grid_{target}_true.csv",
-        f"grid_{target}_fitted.csv", f"mae_{target}.json", f"sweep_{target}_long.csv",
+        f"grid_{target}_fitted.csv", f"sweep_{target}_long.csv",
         f"sweep_{target}_summary.csv", f"sweep_{target}_matrix.csv"])
     assert capsys.readouterr().out.splitlines()[-1] == f"all artifacts under {out.resolve()}"
 
