@@ -32,9 +32,10 @@ def run(argv=None):
     if args.seed is not None:
         common += ["--seed", str(args.seed)]
 
-    # Exit 0 is a converged fit and 1 a fit that ended above gtol; both write
-    # fit_<motor>.json.  Any other exit wrote nothing, and a fit_<motor>.json
-    # left from an earlier run must not be listed as this run's result.
+    # Exit 0 is a converged fit and 1 a fit that ended above gtol or without
+    # moving its thresholds; both write fit_<motor>.json.  Any other exit
+    # wrote nothing, and a fit_<motor>.json left from an earlier run must not
+    # be listed as this run's result.
     fitted = [motor for motor in "ABCD"
               if tripfit_main(["fit", *common, "--motor", motor]) in (0, 1)]
     failures = 4 - len(fitted)

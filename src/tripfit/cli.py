@@ -133,11 +133,9 @@ def cmd_fit(cfg: ProjectConfig, args: argparse.Namespace) -> int:
           f"cost={result.final_cost:.3e} mae={report.epsilon:.4f}")
     if not result.converged:
         stages = len(cfg.smoothing.continuation_schedule)
-        what = ("did not reach the gradient tolerance" if result.iterations else
-                "did not converge: its winning start never moved")
-        print(f"warning: fit for {target} {what}; the winning start stopped after "
-              f"{result.iterations} iterations over {stages} stages "
-              f"(budget {cfg.fit.max_iters} iterations per stage)", file=sys.stderr)
+        print(f"warning: fit for {target} did not converge: its winning start stopped after "
+              f"{result.iterations} iterations over {stages} stages, above the gradient "
+              "tolerance or without moving its thresholds", file=sys.stderr)
         return 1
     return 0
 

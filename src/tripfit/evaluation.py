@@ -76,7 +76,7 @@ class LevelStats:
     p12_5: float
     p87_5: float
     maes: np.ndarray
-    not_converged: int  # refits that ended above gtol or never moved; 0 without refits
+    not_converged: int  # refits above gtol or whose thresholds never moved; 0 without refits
 
 
 @dataclass(frozen=True)

@@ -161,15 +161,14 @@ class SmoothingConfig:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Multistart solver budget and tolerance (in unit-scaled coordinates).
+    """Multistart start count and tolerance (in unit-scaled coordinates).
 
     gtol bounds the projected-gradient infinity norm that counts as
-    converged, for a start that moved at least once.  A stage solve also
-    stops on L-BFGS-B's relative-reduction test at the fixed _LBFGSB_PTOL.
+    converged, for a start whose thresholds moved.  A stage solve also stops
+    on L-BFGS-B's relative-reduction test at the fixed _LBFGSB_PTOL.
     """
 
     n_starts: int = 20
-    max_iters: int = 400
     gtol: float = 1e-5
     seed: int = 0
 
@@ -177,8 +176,6 @@ class FitConfig:
         _check_fields(self)
         if self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if self.gtol <= 0.0:
             raise ValueError("gtol must be > 0")
 
@@ -272,12 +269,14 @@ def _cost_reduced(theta, tau, v, y, alpha_tau, alpha_v) -> float:
     return float(_cost_grad_reduced(theta, tau, v, y, alpha_tau, alpha_v)[0])
 
 
-# scipy.optimize.minimize(method="L-BFGS-B") defaults: maxcor, maxls, maxfun;
-# and the relative-reduction tolerance ftol, which each stage solve stops on.
+# scipy.optimize.minimize(method="L-BFGS-B") defaults: maxcor, maxls, maxfun.
+# Each stage solve stops on the relative-reduction tolerance ftol, or at
+# maxiter, which default fits stay far below (at most 119 over all stages).
 _LBFGSB_M = 10
 _LBFGSB_MAXLS = 20
 _LBFGSB_MAXFUN = 15000
 _LBFGSB_PTOL = 1e-12
+_LBFGSB_MAXITER = 400
 _TASK_FG, _TASK_NEW_X, _TASK_STOP = 3, 1, 5
 
 
@@ -322,14 +321,14 @@ def _one_blas_thread():
         set_(before)
 
 
-def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray, list[int]]:
+def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, gtol: float) -> tuple[np.ndarray, list[int]]:
     """Bounded L-BFGS-B on the unit box from every row of x0, all rows in lockstep.
 
     Each row is its own solve, step for step the loop of
     scipy.optimize.minimize(method="L-BFGS-B", jac=True) with
-    ftol=_LBFGSB_PTOL, gtol=gtol and maxiter=max_iters: an iteration is
-    counted at each NEW_X, and a solve stops once it has done max_iters
-    iterations or more than 15 000 evaluations.  Every request for f and g
+    ftol=_LBFGSB_PTOL, gtol=gtol and maxiter=_LBFGSB_MAXITER: an iteration
+    is counted at each NEW_X, and a solve stops once it has done maxiter
+    iterations or more than maxfun evaluations.  Every request for f and g
     is evaluated and counted, so a repeated point counts toward that cap,
     where scipy's memoization would serve it uncounted.  The rows that ask
     for f and g in the same round share one fun_grad call on the stacked
@@ -339,7 +338,7 @@ def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray
     n_rows, n = x0.shape
     m = _LBFGSB_M
     lo, hi, nbd = np.zeros(n), np.ones(n), np.full(n, 2, dtype=np.int32)
-    factr, pgtol = _LBFGSB_PTOL / np.finfo(float).eps, f.gtol
+    factr = _LBFGSB_PTOL / np.finfo(float).eps
     # One row per solve; setulb writes x and its work arrays in place through row views.
     x, gx, fx = x0.copy(), np.zeros((n_rows, n)), np.zeros(n_rows)
     work = list(zip(x, gx,
@@ -355,7 +354,7 @@ def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray
         for k in active:
             xk, gk, wa, iwa, task, lsave, isave, dsave, ln_task = work[k]
             while True:
-                _setulb(m, xk, lo, hi, nbd, fx[k], gk, factr, pgtol, wa, iwa, task,
+                _setulb(m, xk, lo, hi, nbd, fx[k], gk, factr, gtol, wa, iwa, task,
                         lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
                 if task[0] == _TASK_FG:
                     asking.append(k)
@@ -363,7 +362,7 @@ def _lbfgsb_lockstep(fun_grad, x0: np.ndarray, f: FitConfig) -> tuple[np.ndarray
                 if task[0] != _TASK_NEW_X:
                     break
                 iters[k] += 1
-                if iters[k] >= f.max_iters:
+                if iters[k] >= _LBFGSB_MAXITER:
                     task[:] = _TASK_STOP, 504
                 elif nfev[k] > _LBFGSB_MAXFUN:
                     task[:] = _TASK_STOP, 502
@@ -381,9 +380,10 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
     stages (warm-starting each stage from the last; the final stage falls
     back to the raw start if continuation degraded its cost).  All starts of
     a stage run in lockstep, each its own L-BFGS-B solve.  A start counts as
-    converged when it made at least one iteration and its final
-    projected-gradient norm is at most gtol: a start that never moved proves
-    nothing, as on a flat schedule where every gradient vanishes.  The
+    converged when its final projected-gradient norm is at most gtol and at
+    least one of its four thresholds left its start: thresholds that never
+    moved prove nothing, as on a flat schedule where every gradient vanishes,
+    or on a plateau of hard steps where only pi1 has a gradient.  The
     winner is the lowest final-stage cost, ties broken by start index.
     Deterministic given (d, s, f).
     """
@@ -405,12 +405,12 @@ def fit(d: Dataset, s: SmoothingConfig, f: FitConfig) -> FitResult:
                 # Where continuation hurt at the final steepness, restart clean.
                 both = fun_grad(np.concatenate([starts, u]), *stage)[0]
                 u = np.where((both[:f.n_starts] < both[f.n_starts:])[:, None], starts, u)
-            x, nit = _lbfgsb_lockstep(lambda w: fun_grad(w, *stage), u, f)
+            x, nit = _lbfgsb_lockstep(lambda w: fun_grad(w, *stage), u, f.gtol)
             u = np.clip(x, 0.0, 1.0)
             iters += nit
     start_costs, g = fun_grad(u, *stages[-1])
     pg_norm = np.abs(u - np.clip(u - g, 0.0, 1.0)).max(axis=1)
-    start_conv = (pg_norm <= f.gtol) & (iters > 0)
+    start_conv = (pg_norm <= f.gtol) & (u[:, 1:] != starts[:, 1:]).any(axis=1)
     start_index = int(np.argmin(start_costs))  # the first of equal lowest costs
 
     model = SimplifiedModel.from_reduced(_LO + u[start_index] * _SPAN).canonical()

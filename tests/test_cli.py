@@ -23,7 +23,7 @@ from tripfit.cli import _parser, main
 from tripfit.config import _SECTIONS, ConfigError, load_config
 from tripfit.evaluation import mae
 from tripfit.library import _LIBRARY, _SCHEME, BUILTIN, parse_library, read_library
-from tripfit.regression import harden, model_from_jsonable
+from tripfit.regression import _LBFGSB_MAXITER, harden, model_from_jsonable
 from tripfit.sampling import _hints
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -37,7 +37,7 @@ def _small_config(tmp_path, **overrides):
         "seed": 11,
         "sampler": {"n_train": 60, "m_eval": 600},
         "smoothing": {"continuation_schedule": [[10.0, 0.4], [60.0, 2.5]]},
-        "fit": {"n_starts": 4, "max_iters": 150},
+        "fit": {"n_starts": 4},
         "uncertainty": {
             "gamma_levels": [0.0, 0.4],
             "trials": 30,
@@ -115,8 +115,8 @@ def test_config_invalid_values(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("section, name", [
-    ("fit", "n_starts"), ("fit", "max_iters"), ("sampler", "n_train"), ("sampler", "m_eval"),
-    ("uncertainty", "trials"), ("uncertainty", "m_eval"),
+    ("fit", "n_starts"), ("sampler", "n_train"), ("sampler", "m_eval"), ("uncertainty", "trials"),
+    ("uncertainty", "m_eval"),
 ])
 @pytest.mark.parametrize("value", [2.5, 600.0, True, "60"])
 def test_config_rejects_non_integer_counts(tmp_path, section, name, value):
@@ -163,7 +163,7 @@ def test_example_config_echo_is_pinned(tmp_path):
         "sampler": {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5, "n_train": 200,
                     "m_eval": 5000},
         "smoothing": {"continuation_schedule": [[10.0, 0.4], [50.0, 2.0], [250.0, 10.0]]},
-        "fit": {"n_starts": 20, "max_iters": 400, "gtol": 1e-05},
+        "fit": {"n_starts": 20, "gtol": 1e-05},
         "uncertainty": {"gamma_levels": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8],
                         "targets": [], "trials": 200, "refit": False, "m_eval": 2000,
                         "matrix_targets": ["P2", "P1-P4-P5"]},
@@ -278,35 +278,40 @@ def test_cli_motor_c_accuracy_at_defaults(tmp_path):
 
 def test_cli_fit_above_gtol_reports_winner_iterations(tmp_path, capsys):
     # At the defaults this seed's winning start stops on the relative-reduction
-    # test above gtol, far inside the per-stage iteration budget.
+    # test above gtol, far inside the per-stage iteration cap.
     assert main(["fit", "--config", str(EXAMPLE_CONFIG), "--motor", "mixed_commercial",
                  "--seed", "2085", "--out", str(tmp_path)]) == 1
     doc = json.loads((tmp_path / "fit_mixed_commercial.json").read_text())
-    assert not doc["converged"] and doc["iterations"] < doc["config"]["fit"]["max_iters"]
+    assert not doc["converged"] and doc["iterations"] < _LBFGSB_MAXITER
     err = capsys.readouterr().err
-    assert (f"the winning start stopped after {doc['iterations']} iterations over 3 stages "
-            "(budget 400 iterations per stage)") in err
+    assert (f"warning: fit for mixed_commercial did not converge: its winning start stopped "
+            f"after {doc['iterations']} iterations over 3 stages, above the gradient tolerance "
+            "or without moving its thresholds\n") in err
 
 
-@pytest.mark.parametrize("section, setting", [
-    ("smoothing", {"continuation_schedule": [[1e-300, 1e-300]]}),
-    ("fit", {"gtol": 1e308}),
-], ids=["flat_schedule", "huge_gtol"])
-def test_cli_fit_whose_winner_never_moved_exits_1(tmp_path, capsys, section, setting):
+@pytest.mark.parametrize("section, setting, iterates", [
+    ("smoothing", {"continuation_schedule": [[1e-300, 1e-300]]}, False),
+    ("fit", {"gtol": 1e308}, False),
+    ("smoothing", {"continuation_schedule": [[1e300, 1e300]]}, True),
+], ids=["flat_schedule", "huge_gtol", "plateau"])
+def test_cli_fit_whose_winner_never_moved_exits_1(tmp_path, capsys, section, setting, iterates):
     # Every start meets gtol where it began: on a flat schedule every sigmoid is
-    # 1/2, so every gradient vanishes, and any gradient is below 1e308.  Such a
-    # fit is not converged; it exited 0 with MAE 0.506 and 0.146 (0.0076 at the
-    # defaults).
+    # 1/2, so every gradient vanishes, and any gradient is below 1e308.  On a
+    # plateau every sigmoid is a hard step, so the winner iterates on pi1 alone
+    # and its thresholds stay at their start.  Such a fit is not converged; it
+    # exited 0 with MAE 0.506, 0.146 and 0.046 (0.0076 at the defaults).
     doc = json.loads(EXAMPLE_CONFIG.read_text())
     doc[section] = {**doc[section], **setting}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["fit", "--config", str(path), "--motor", "C", "--out", str(tmp_path)]) == 1
     result = json.loads((tmp_path / "fit_C.json").read_text())
-    assert not result["converged"] and result["iterations"] == 0
+    assert not result["converged"] and (result["iterations"] > 0) == iterates
     assert not any(result["diagnostics"]["start_converged"])
-    assert ("warning: fit for C did not converge: its winning start never moved; the winning "
-            "start stopped after 0 iterations") in capsys.readouterr().err
+    stages = len(doc["smoothing"]["continuation_schedule"])
+    assert (f"warning: fit for C did not converge: its winning start stopped after "
+            f"{result['iterations']} iterations over {stages} stages, above the gradient "
+            "tolerance or without moving its thresholds\n") in capsys.readouterr().err
 
 
 def test_cli_fit_every_motor_class(tmp_path):
@@ -425,7 +430,7 @@ def test_refit_config_echo_is_pinned(tmp_path):
         "sampler": {"beta_tau": 1.0, "beta_v": 0.1, "weight_threshold": 0.5, "n_train": 60,
                     "m_eval": 600},
         "smoothing": {"continuation_schedule": [[10.0, 0.4], [60.0, 2.5]]},
-        "fit": {"n_starts": 4, "max_iters": 150, "gtol": 1e-05},
+        "fit": {"n_starts": 4, "gtol": 1e-05},
         "uncertainty": {"gamma_levels": [0.2, 0.8], "targets": [], "trials": 30, "refit": True,
                         "m_eval": 300, "matrix_targets": None},
         "composites": {"mixed_commercial": {"P1": 0.15, "P2": 0.3, "P3": 0.1, "P5": 0.15,
@@ -592,7 +597,7 @@ def _walked(argv, out_dir: Path):
 # A cheap config for the edge-value walks: a one-start fit over a one-stage schedule.
 _EDGE_BASE = {"sampler": {"n_train": 20, "m_eval": 200},
               "smoothing": {"continuation_schedule": [[50.0, 2.0]]},
-              "fit": {"n_starts": 1, "max_iters": 50},
+              "fit": {"n_starts": 1},
               "uncertainty": {"gamma_levels": [0.0, 0.4], "trials": 30, "m_eval": 100}}
 
 
@@ -622,8 +627,8 @@ def test_cli_edge_values_exit_cleanly(tmp_path, capsys):
                 walk_setting(section, name, new)
     n_train = base["sampler"]["n_train"]
     for section, name, new in [
-        ("fit", "n_starts", 0), ("fit", "n_starts", 1), ("fit", "max_iters", 0),
-        ("fit", "max_iters", 1), ("sampler", "n_train", 4), ("sampler", "n_train", 5),
+        ("fit", "n_starts", 0), ("fit", "n_starts", 1), ("sampler", "n_train", 4),
+        ("sampler", "n_train", 5),
         ("sampler", "m_eval", 10 * n_train - 1), ("sampler", "m_eval", 10 * n_train),
         ("sampler", "weight_threshold", 1 - 2**-53), ("uncertainty", "trials", 29),
         ("uncertainty", "trials", 30), ("uncertainty", "gamma_levels", [0.0, 1 - 2**-53]),
@@ -638,7 +643,7 @@ def test_cli_edge_values_exit_cleanly(tmp_path, capsys):
     capsys.readouterr()
     assert {"sampler.beta_v=1e+308 fit", "smoothing.continuation_schedule=[[1e+308, 2.0]] fit",
             "--resolution=10**30 grid"} <= outcomes.keys()
-    assert {"fit.max_iters=0 validate", "uncertainty.targets=['P2-P5'] sweep"} <= outcomes.keys()
+    assert {"fit.n_starts=0 validate", "uncertainty.targets=['P2-P5'] sweep"} <= outcomes.keys()
     assert {case: out for case, out in outcomes.items() if out not in (0, 1, 2)} == {}
 
 
@@ -716,7 +721,7 @@ def test_cli_rejects_fit_from_other_seed_or_setup(tmp_path, capsys):
     assert "fitted under a different seed" in err and "fit_C.json" in err
     assert not (tmp_path / "out" / "sweep_C_long.csv").exists()
 
-    other_fit = _small_config(tmp_path, fit={"n_starts": 4, "max_iters": 150, "gtol": 1e-6})
+    other_fit = _small_config(tmp_path, fit={"n_starts": 4, "gtol": 1e-6})
     assert main(["grid", "--config", str(other_fit), "--motor", "C",
                  "--target", "fitted", "--resolution", "2"]) == 2
     assert "different fit.gtol" in capsys.readouterr().err
@@ -757,7 +762,8 @@ def test_cli_rejects_fit_from_other_seed_or_setup(tmp_path, capsys):
     ("smoothing", {"alpha_tau": 50.0, "alpha_v": 2.0}),
     ("sampler", {"tau_range": [0.0, 5.0], "v_range": [0.0, 100.0]}),
     ("fit", {"ptol": 1e-12}),
-], ids=["smoothing.alpha_tau", "sampler.tau_range", "fit.ptol"])
+    ("fit", {"max_iters": 400}),
+], ids=["smoothing.alpha_tau", "sampler.tau_range", "fit.ptol", "fit.max_iters"])
 def test_cli_rejects_fit_echoing_removed_field(tmp_path, capsys, section, stale):
     # The section has no such field any more; a fit whose echo holds one is stale.
     path = _small_config(tmp_path)
@@ -982,8 +988,7 @@ _TYPED_LIBRARY = {
     pytest.param({"fit": {"gtol": True}}, None, "fit: gtol must be a real number, got True",
                  id="overrides21-None-fit: gtol must be a real number, got True"),
     pytest.param({"fit": {"ptol": 1e-12}}, None,
-                 "config.json: fit: unknown field(s) ['ptol']; known: ['gtol', 'max_iters', "
-                 "'n_starts']",
+                 "config.json: fit: unknown field(s) ['ptol']; known: ['gtol', 'n_starts']",
                  id="overrides22-None-config.json: fit: unknown field(s) ['ptol']; known: "
                     "['gtol', 'max_iters', 'n_starts']"),
     pytest.param({"sampler": {"beta_tau": True}}, None,
@@ -1093,6 +1098,10 @@ _TYPED_LIBRARY = {
                  id="overrides50-library50-lib.json: unknown field(s) ['composite']; known: "
                     "['base_schemes', 'combinations', 'composites', 'description', "
                     "'fraction_table', 'motor_classes', 'units']"),
+    pytest.param({"fit": {"max_iters": 400}}, None,
+                 "config.json: fit: unknown field(s) ['max_iters']; known: ['gtol', 'n_starts']",
+                 id="overrides51-None-config.json: fit: unknown field(s) ['max_iters']; known: "
+                    "['gtol', 'n_starts']"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, overrides, library, message):
     # A quoted "1e400" stands for the bare literal, which json.dumps cannot write.

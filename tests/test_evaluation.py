@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tripfit.evaluation
+import tripfit.regression
 from helpers import random_composite, random_zone
 from tripfit import (
     CompositeProtection,
@@ -180,7 +181,7 @@ def test_sweep_refit_smoke(fitted_pair):
         uncertainty_sweep(comp, model, spec)
     sampler = SamplerConfig(weight_threshold=0.0, n_train=40, m_eval=400)
     smoothing = SmoothingConfig(continuation_schedule=((25.0, 1.0),))
-    fit_config = FitConfig(n_starts=2, max_iters=60)
+    fit_config = FitConfig(n_starts=2)
     report = uncertainty_sweep(comp, model, spec, sampler=sampler, smoothing=smoothing,
                                fit_config=fit_config)
     assert report.levels[0].maes.size == 30
@@ -191,14 +192,20 @@ def test_sweep_refit_smoke(fitted_pair):
     assert report.levels[0].maes.tolist() == rebuilt
 
 
-def test_sweep_counts_non_converged_refits(fitted_pair):
+def test_sweep_counts_non_converged_refits(fitted_pair, monkeypatch):
     comp, model = fitted_pair
     spec = UncertaintySpec(gamma_levels=(0.0, 0.4), trials=30, seed=3, m_eval=300)
     assert [stats.not_converged for stats in uncertainty_sweep(comp, model, spec).levels] == [0, 0]
     sampler = SamplerConfig(weight_threshold=0.0, n_train=40, m_eval=400)
+    # On a plateau of hard steps every refit moves only pi1.
+    report = uncertainty_sweep(comp, model, replace(spec, refit=True), sampler=sampler,
+                               smoothing=SmoothingConfig(((1e300, 1e300),)),
+                               fit_config=FitConfig(n_starts=2))
+    assert [stats.not_converged for stats in report.levels] == [30, 30]
+    monkeypatch.setattr(tripfit.regression, "_LBFGSB_MAXITER", 1)
     smoothing = SmoothingConfig(continuation_schedule=((25.0, 1.0),))
     report = uncertainty_sweep(comp, model, replace(spec, refit=True), sampler=sampler,
-                               smoothing=smoothing, fit_config=FitConfig(max_iters=1))
+                               smoothing=smoothing, fit_config=FitConfig())
     assert [stats.not_converged for stats in report.levels] == [30, 30]
 
 
@@ -214,11 +221,12 @@ def test_sweep_counts_refits_that_never_moved(fitted_pair, monkeypatch):
         return refits[-1]
 
     monkeypatch.setattr(tripfit.evaluation, "fit", capture)
+    monkeypatch.setattr(tripfit.regression, "_LBFGSB_MAXITER", 1)
     spec = UncertaintySpec(gamma_levels=(0.0, 0.4), trials=30, seed=3, m_eval=300, refit=True)
     report = uncertainty_sweep(comp, model, spec,
                                sampler=SamplerConfig(weight_threshold=0.0, n_train=40, m_eval=400),
                                smoothing=SmoothingConfig(continuation_schedule=((25.0, 1.0),)),
-                               fit_config=FitConfig(n_starts=1, max_iters=1))
+                               fit_config=FitConfig(n_starts=1))
     assert [r.iterations for r in refits].count(0) == 1
     assert [stats.not_converged for stats in report.levels] == [30, 30]
 

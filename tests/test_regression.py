@@ -248,13 +248,14 @@ def test_smoothing_config_validation():
     with pytest.raises(ValueError, match="must be a list of pairs, got None"):
         SmoothingConfig(None)
     assert SmoothingConfig([[40, 1.5]]).continuation_schedule == ((40.0, 1.5),)
-    with pytest.raises(ValueError, match="max_iters must be >= 1"):
-        FitConfig(max_iters=0)
     with pytest.raises(ValueError, match="gtol must be > 0"):
         FitConfig(gtol=0.0)
-    # The relative-reduction tolerance is the solver's constant, not a setting.
+    # The relative-reduction tolerance and the iteration cap are the solver's
+    # constants, not settings.
     with pytest.raises(TypeError, match="ptol"):
         FitConfig(ptol=1e-12)
+    with pytest.raises(TypeError, match="max_iters"):
+        FitConfig(max_iters=1)
 
 
 # ------------------------------------------------------------------ cost
@@ -468,7 +469,7 @@ def test_fit_unchanged_under_per_block_kernel(monkeypatch):
     assert fit(d, SmoothingConfig(), f).to_jsonable() == stacked
 
 
-def _per_start_minimize_fit(d, s, f, maxfun=15000):
+def _per_start_minimize_fit(d, s, f, maxfun=15000, maxiter=400):
     """Reference fit: each start driven through scipy.optimize.minimize, one at a time."""
     from scipy.optimize import minimize
 
@@ -484,7 +485,7 @@ def _per_start_minimize_fit(d, s, f, maxfun=15000):
         return fval, g * _SPAN
 
     starts = lhs_unit(rng_stream(f.seed, "multistart"), f.n_starts, 5)
-    options = {"maxiter": f.max_iters, "ftol": _LBFGSB_PTOL, "gtol": f.gtol, "maxfun": maxfun}
+    options = {"maxiter": maxiter, "ftol": _LBFGSB_PTOL, "gtol": f.gtol, "maxfun": maxfun}
     best = None
     start_costs, start_iters, start_conv = [], [], []
     for k in range(f.n_starts):
@@ -499,7 +500,8 @@ def _per_start_minimize_fit(d, s, f, maxfun=15000):
             u = np.clip(res.x, 0.0, 1.0)
             total_it += int(res.nit)
         fval, g = fun_grad(u, *stages[-1])
-        converged = float(np.abs(u - np.clip(u - g, 0.0, 1.0)).max()) <= f.gtol and total_it > 0
+        converged = (float(np.abs(u - np.clip(u - g, 0.0, 1.0)).max()) <= f.gtol
+                     and bool(np.any(u[1:] != starts[k][1:])))
         start_costs.append(fval)
         start_iters.append(total_it)
         start_conv.append(converged)
@@ -518,38 +520,41 @@ def _per_start_minimize_fit(d, s, f, maxfun=15000):
 
 
 def _minimize_cases():
+    """(name, composite, sampler, smoothing, fit config, iteration cap per stage solve)."""
     lib = default_library()
+    cap = regression._LBFGSB_MAXITER
     for target in ("A", "B", "C", "D", "mixed_commercial"):
         for seed in (1, 2, 3):
             yield (f"{target}-{seed}", lib.composite(target), SamplerConfig(seed=seed),
-                   SmoothingConfig(), FitConfig(seed=seed))
+                   SmoothingConfig(), FitConfig(seed=seed), cap)
     comp = lib.composite("mixed_commercial")
     yield ("one-start-one-iter", comp, SamplerConfig(seed=4), SmoothingConfig(),
-           FitConfig(n_starts=1, max_iters=1, seed=4))
+           FitConfig(n_starts=1, seed=4), 1)
     yield ("three-starts-five-iters", comp, SamplerConfig(seed=5), SmoothingConfig(),
-           FitConfig(n_starts=3, max_iters=5, seed=5))
+           FitConfig(n_starts=3, seed=5), 5)
     yield ("no-continuation", lib.composite("D"), SamplerConfig(seed=6),
-           SmoothingConfig((ALPHA,)), FitConfig(n_starts=8, seed=6))
+           SmoothingConfig((ALPHA,)), FitConfig(n_starts=8, seed=6), cap)
     yield ("steep-schedule", comp, SamplerConfig(seed=7),
            SmoothingConfig(continuation_schedule=((5.0, 0.1), (1e4, 1e3))),
-           FitConfig(n_starts=8, seed=7))
+           FitConfig(n_starts=8, seed=7), cap)
     for n_train in (37, 237):
         yield (f"n_train-{n_train}", lib.composite("B"),
                SamplerConfig(n_train=n_train, m_eval=10 * n_train, seed=n_train),
-               SmoothingConfig(), FitConfig(n_starts=8, seed=n_train))
+               SmoothingConfig(), FitConfig(n_starts=8, seed=n_train), cap)
     # One of these starts is worse after continuation than its raw point at the
     # final steepness, so fit restarts it from that point.
     yield ("restart", lib.composite("D"), SamplerConfig(seed=4),
            SmoothingConfig(continuation_schedule=((1.0, 0.05), (1e3, 1e2))),
-           FitConfig(n_starts=8, seed=4))
+           FitConfig(n_starts=8, seed=4), cap)
 
 
-def test_fit_matches_per_start_minimize():
+def test_fit_matches_per_start_minimize(monkeypatch):
     # Also the guard against a scipy release whose private setulb step no
     # longer matches its own minimize loop.
-    for name, comp, sampler, smoothing, fit_cfg in _minimize_cases():
+    for name, comp, sampler, smoothing, fit_cfg, maxiter in _minimize_cases():
+        monkeypatch.setattr(regression, "_LBFGSB_MAXITER", maxiter)
         d = sample_training(comp, sampler)
-        expected = _per_start_minimize_fit(d, smoothing, fit_cfg).to_jsonable()
+        expected = _per_start_minimize_fit(d, smoothing, fit_cfg, maxiter=maxiter).to_jsonable()
         assert fit(d, smoothing, fit_cfg).to_jsonable() == expected, name
 
 
@@ -765,17 +770,21 @@ def test_fit_result_invariants():
     assert result.final_cost <= min(result.diagnostics["start_costs"]) + 1e-15
 
 
-@pytest.mark.parametrize("s, f", [
-    (SmoothingConfig(continuation_schedule=((1e-300, 1e-300),)), FitConfig(n_starts=4, seed=2)),
-    (SmoothingConfig(), FitConfig(n_starts=4, gtol=1e308, seed=2)),
-], ids=["flat_schedule", "huge_gtol"])
-def test_fit_start_that_never_moved_is_not_converged(s, f):
+@pytest.mark.parametrize("s, f, iterates", [
+    (SmoothingConfig(continuation_schedule=((1e-300, 1e-300),)), FitConfig(n_starts=4, seed=2),
+     False),
+    (SmoothingConfig(), FitConfig(n_starts=4, gtol=1e308, seed=2), False),
+    (SmoothingConfig(((1e300, 1e300),)), FitConfig(n_starts=4, seed=2), True),
+], ids=["flat_schedule", "huge_gtol", "plateau"])
+def test_fit_start_that_never_moved_is_not_converged(s, f, iterates):
     # Each start meets gtol where it began: every sigmoid is 1/2 on a flat
     # schedule, so every gradient vanishes, and any gradient is below 1e308.
+    # On a plateau every sigmoid is a hard step, so only pi1 has a gradient:
+    # each start iterates on pi1 and ends where its thresholds began.
     result = fit(_dataset_from_hard(RECOVERY_TRUTH, n=100, seed=2), s, f)
-    assert result.diagnostics["start_iterations"] == [0] * 4
+    assert [it > 0 for it in result.diagnostics["start_iterations"]] == [iterates] * 4
     assert result.diagnostics["start_converged"] == [False] * 4
-    assert not result.converged and result.iterations == 0
+    assert not result.converged and (result.iterations > 0) == iterates
 
 
 def test_fit_deterministic():
